@@ -145,10 +145,10 @@ std::vector<Table4Slice> build_table4_slices(const CampaignOptions& options,
   return slices;
 }
 
-/// Run one Table IV strategy through the streaming runner. The single
-/// grid-construction + run path shared by table4_report and bench_report,
-/// so the two can never drift apart (bench's aggregate columns double as
-/// a seed-for-seed identity check against table4).
+/// Run one Table IV strategy alone through the streaming runner, timed:
+/// bench_report's per-strategy rows. table4_report runs the same slices
+/// (build_table4_slices) through one multi-grid call instead, so bench's
+/// aggregate columns double as a seed-for-seed identity check against it.
 struct StrategyRun {
   exp::Aggregate agg;
   double wall_s = 0.0;
@@ -172,6 +172,33 @@ StrategyRun run_table4_slice(const Table4Slice& slice,
                                         checkpoint.get());
   run.wall_s = util::seconds_since(start);
   return run;
+}
+
+/// A grid to run under its slice name.
+struct NamedGrid {
+  std::string name;
+  const std::vector<exp::CampaignItem>* grid = nullptr;
+};
+
+/// Run every named grid through one streaming call, each with its own
+/// slice checkpoint (when checkpointing) and decile display. Returns one
+/// Aggregate per grid, in order.
+std::vector<exp::Aggregate> run_named_grids(const std::vector<NamedGrid>& grids,
+                                            const CampaignOptions& options,
+                                            const exp::CampaignConfig& cc,
+                                            std::ostream* progress) {
+  std::vector<std::unique_ptr<exp::CampaignCheckpoint>> checkpoints;
+  std::vector<exp::CampaignJob> jobs;
+  for (const NamedGrid& named : grids) {
+    checkpoints.push_back(open_checkpoint<exp::CampaignCheckpoint>(
+        options, named.name, *named.grid, progress));
+    exp::CampaignJob job;
+    job.items = *named.grid;
+    job.progress = decile_progress(progress, named.name);
+    job.checkpoint = checkpoints.back().get();
+    jobs.push_back(std::move(job));
+  }
+  return exp::run_campaigns_streaming(jobs, cc);
 }
 
 }  // namespace
@@ -299,32 +326,54 @@ std::vector<std::string> shard_slice_files(const CampaignOptions& options,
 }
 
 /// Worker side of the coordinator protocol: run this shard's slice of
-/// every strategy into its own checkpoint files, reporting cumulative
-/// completed-simulation counts (restored + fresh, across all strategies)
-/// through @p on_progress after every chunk.
+/// every strategy into its own checkpoint files, all through one streaming
+/// call, reporting cumulative completed-simulation counts (restored +
+/// fresh, summed over all strategies) through @p on_progress after every
+/// chunk.
 void run_table4_worker_slices(const std::vector<Table4Slice>& slices,
                               const CampaignOptions& options,
                               const exp::CampaignConfig& cc,
                               std::size_t shard, std::size_t shard_count,
                               const std::function<void(std::size_t)>& on_progress) {
-  std::size_t base = 0;  // sims completed in earlier strategies
-  for (const Table4Slice& slice : slices) {
+  // Strategies finish chunks concurrently: each job records its own count
+  // and the sum goes out under one lock, so the counts stay monotonic.
+  struct Counts {
+    util::Mutex mutex;
+    std::vector<std::size_t> completed SCAA_GUARDED_BY(mutex);
+  } counts;
+  {
+    const util::MutexLock lock(counts.mutex);
+    counts.completed.assign(slices.size(), 0);
+  }
+  std::vector<std::unique_ptr<exp::CampaignCheckpoint>> checkpoints;
+  std::vector<exp::CampaignJob> jobs;
+  std::size_t slice_total = 0;
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    const Table4Slice& slice = slices[i];
     const exp::ShardPlan plan(slice.grid.size(), shard_count);
-    const exp::ChunkRange range = plan.chunks_for(shard);
-    exp::CampaignCheckpoint checkpoint(
+    checkpoints.push_back(std::make_unique<exp::CampaignCheckpoint>(
         slice_checkpoint_file(options.checkpoint, slice.name,
                               slice.fingerprint, shard, shard_count),
-        slice.grid, options.resume);
-    exp::run_campaign_streaming(
-        slice.grid, cc,
-        [&](const exp::CampaignProgress& p) { on_progress(base + p.completed); },
-        &checkpoint, &range);
-    base += plan.items_in(shard);
-    // A slice that was fully restored (or empty) never fires the progress
-    // callback; report the strategy boundary explicitly so the coordinator
-    // display still reaches 100%.
-    on_progress(base);
+        slice.grid, options.resume));
+    exp::CampaignJob job;
+    job.items = slice.grid;
+    job.checkpoint = checkpoints.back().get();
+    job.chunks = plan.chunks_for(shard);
+    job.progress = [&counts, &on_progress, i](const exp::CampaignProgress& p) {
+      const util::MutexLock lock(counts.mutex);
+      counts.completed[i] = p.completed;
+      std::size_t sum = 0;
+      for (const std::size_t c : counts.completed) sum += c;
+      on_progress(sum);
+    };
+    jobs.push_back(std::move(job));
+    slice_total += plan.items_in(shard);
   }
+  exp::run_campaigns_streaming(jobs, cc);
+  // A slice set that was fully restored (or empty) never fires a progress
+  // callback after its last chunk; report the total explicitly so the
+  // coordinator display still reaches 100%.
+  on_progress(slice_total);
 }
 
 /// Set by the coordinator's SIGINT/SIGTERM handler, read by the mux loop.
@@ -557,12 +606,18 @@ Report table4_report(const CampaignOptions& options, std::ostream* progress) {
   }
 
   const exp::CampaignConfig cc = campaign_config(options);
+  const std::vector<Table4Slice> slices =
+      build_table4_slices(options, cc, "table4");
+  std::vector<NamedGrid> grids;
+  for (const Table4Slice& slice : slices)
+    grids.push_back({slice.name, &slice.grid});
+  const std::vector<exp::Aggregate> aggs =
+      run_named_grids(grids, options, cc, progress);
   Report report = make_table4_report();
-  for (const Table4Slice& slice : build_table4_slices(options, cc, "table4")) {
-    const auto agg = run_table4_slice(slice, options, cc, progress).agg;
-    add_table4_row(report, slice.row, agg);
-    note(progress, "[table4] " + to_string(slice.row.kind) + " done: " +
-                       std::to_string(agg.simulations) + " sims");
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    add_table4_row(report, slices[i].row, aggs[i]);
+    note(progress, "[table4] " + to_string(slices[i].row.kind) + " done: " +
+                       std::to_string(aggs[i].simulations) + " sims");
   }
   return report;
 }
@@ -1237,16 +1292,18 @@ Report faults_report(const CampaignOptions& options, std::ostream* progress) {
        "attack_sims", "attack_alert_sims", "detection_rate",
        "attack_hazard_sims", "hazards_without_alerts", "tth_mean"});
 
-  auto run_leg = [&](const Leg& leg) {
-    const auto checkpoint = open_checkpoint<exp::CampaignCheckpoint>(
-        options, leg.name, leg.grid, progress);
-    return exp::run_campaign_streaming(leg.grid, cc,
-                                       decile_progress(progress, leg.name),
-                                       checkpoint.get());
-  };
-  for (const CellRun& run : runs) {
-    const exp::Aggregate benign = run_leg(run.benign);
-    const exp::Aggregate attacked = run_leg(run.attacked);
+  // Every leg of every cell through one streaming call: benign then
+  // attacked, cell by cell.
+  std::vector<NamedGrid> grids;
+  for (const CellRun& run : runs)
+    for (const Leg* leg : {&run.benign, &run.attacked})
+      grids.push_back({leg->name, &leg->grid});
+  const std::vector<exp::Aggregate> aggs =
+      run_named_grids(grids, options, cc, progress);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const CellRun& run = runs[i];
+    const exp::Aggregate& benign = aggs[2 * i];
+    const exp::Aggregate& attacked = aggs[2 * i + 1];
     report.add_row({run.cell.family, run.cell.intensity,
                     ll(benign.simulations), ll(benign.sims_with_alerts),
                     benign.alert_fraction(), ll(attacked.simulations),

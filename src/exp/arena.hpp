@@ -27,7 +27,8 @@
 namespace scaa::exp {
 
 /// Worlds stepped in lockstep per arena batch: enough to amortize the
-/// project_many sweep without inflating per-worker memory.
+/// project_many sweep without inflating per-worker memory. Also the
+/// streaming runner's task size: each of its pool tasks is one batch.
 inline constexpr std::size_t kBatchWorlds = 8;
 
 /// A reusable set of resident Worlds. Not thread-safe; each pool worker
@@ -53,9 +54,12 @@ class WorldArena {
 };
 
 /// A free list of arenas shared by the thread-pool workers. The pool has
-/// no worker-identity API, so workers check an arena out per task instead:
-/// with at most `threads` tasks in flight, at most `threads` arenas ever
-/// exist, and each is reused across the whole campaign.
+/// no worker-identity API, so every task checks an arena out for as long
+/// as it simulates (one kBatchWorlds batch in the streaming runner, a
+/// couple of batches or a chunk in the materializing one): with at most
+/// `threads` tasks in flight, at most `threads` arenas ever exist, and
+/// each is reused across the whole campaign — across every grid of a
+/// multi-grid run too.
 class ArenaPool {
  public:
   /// RAII checkout: acquires an arena (creating one only when the free

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -110,10 +112,10 @@ struct CommitErrors {
   }
 };
 
-/// Progress bookkeeping shared by the streaming runner's workers: the
-/// cumulative completed-simulation count and the user callback invocation
-/// are both serialized by one mutex, so callbacks observe monotonically
-/// non-decreasing counts.
+/// One streaming job's progress bookkeeping, shared by the workers that
+/// finish its chunks: the cumulative completed-simulation count and the
+/// user callback invocation are both serialized by one mutex, so the job's
+/// callbacks observe monotonically non-decreasing counts.
 struct ProgressCounter {
   util::Mutex mutex;
   std::size_t completed SCAA_GUARDED_BY(mutex) = 0;
@@ -297,101 +299,210 @@ Aggregate aggregate(const std::vector<CampaignResult>& results) {
   return total.finish();
 }
 
-Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
-                                 const CampaignConfig& config,
-                                 const CampaignProgressFn& progress,
-                                 CampaignCheckpoint* checkpoint,
-                                 const ChunkRange* chunks) {
-  const WorldAssets assets = WorldAssets::make_default();
-  const std::size_t n_chunks =
-      (items.size() + kCampaignChunk - 1) / kCampaignChunk;
+namespace {
 
-  // The chunk range this call owns: the whole grid, or a shard's slice
-  // (clamped so an oversized range is harmless).
-  const std::size_t range_begin =
-      chunks != nullptr ? std::min(chunks->begin_chunk, n_chunks) : 0;
-  const std::size_t range_end =
-      chunks != nullptr ? std::min(chunks->end_chunk, n_chunks) : n_chunks;
-  const auto chunk_items = [&](std::size_t c) {
-    return std::min(items.size(), (c + 1) * kCampaignChunk) -
-           c * kCampaignChunk;
-  };
+/// Items in chunk @p chunk of an @p n_items grid (the last may be short).
+std::size_t chunk_size(std::size_t n_items, std::size_t chunk) {
+  return std::min(n_items, (chunk + 1) * kCampaignChunk) -
+         chunk * kCampaignChunk;
+}
+
+/// A chunk accumulator padded to a cache line: each is written by exactly
+/// one worker (the one that folds the chunk), and the padding keeps
+/// neighbouring chunks from false-sharing while workers fold concurrently.
+struct alignas(64) PaddedAccumulator {
+  AggregateAccumulator acc;
+};
+
+/// One job's bookkeeping: the chunk range it owns, one accumulator per
+/// chunk of that range, and its progress count.
+struct JobRun {
+  std::size_t range_begin = 0;
   std::size_t range_items = 0;
-  for (std::size_t c = range_begin; c < range_end; ++c)
-    range_items += chunk_items(c);
+  std::vector<PaddedAccumulator> partials;  ///< from range_begin on
+  ProgressCounter counter;
+};
 
-  // One accumulator per chunk, padded to a cache line: each is written by
-  // exactly one worker, and the padding keeps neighbouring chunks from
-  // false-sharing while workers fold results in concurrently.
-  struct alignas(64) PaddedAccumulator {
-    AggregateAccumulator acc;
-  };
-  std::vector<PaddedAccumulator> partials(n_chunks);
+/// A chunk that has to be computed: job index and chunk index.
+struct ChunkWork {
+  std::size_t job = 0;
+  std::size_t chunk = 0;
+};
 
-  // Restore already-committed chunks before submitting anything: they are
-  // never recomputed, and the first progress callback accounts for them.
-  // Only in-range chunks count — a shard worker reports its slice alone.
-  std::size_t restored = 0;
-  if (checkpoint != nullptr) {
-    for (std::size_t c = range_begin; c < range_end; ++c) {
-      if (!checkpoint->chunk_complete(c)) continue;
-      partials[c].acc = checkpoint->restored(c);
-      restored += chunk_items(c);
+/// Summary slots of the chunks in flight, keyed by their index in the
+/// run's work list. Every task deposits its summaries when it finishes;
+/// the deposit that completes a chunk takes the chunk's slots out, and the
+/// caller folds them and hands them back. A chunk holds slots only from
+/// its first deposit to its last, and folded slots are reused, so a run
+/// allocates at most one slot set per chunk that is in flight at once.
+class InFlightChunks {
+ public:
+  using Slots = std::array<sim::SimulationSummary, kCampaignChunk>;
+
+  /// @p tasks_left[w]: the number of tasks chunk w is split into.
+  explicit InFlightChunks(std::vector<std::size_t> tasks_left)
+      : tasks_left_(std::move(tasks_left)), open_(tasks_left_.size()) {}
+
+  /// Copy @p summaries into chunk @p work's slots from @p offset on.
+  /// Returns the chunk's filled slots when this was its last task, else
+  /// null.
+  std::unique_ptr<Slots> deposit(
+      std::size_t work, std::size_t offset,
+      std::span<const sim::SimulationSummary> summaries) SCAA_EXCLUDES(mutex_) {
+    const util::MutexLock lock(mutex_);
+    std::unique_ptr<Slots>& slots = open_[work];
+    if (!slots) {
+      if (free_.empty()) {
+        slots = std::make_unique<Slots>();
+      } else {
+        slots = std::move(free_.back());
+        free_.pop_back();
+      }
     }
-    if (progress && restored > 0)
-      progress(CampaignProgress{restored, range_items});
+    std::copy(summaries.begin(), summaries.end(),
+              slots->begin() + static_cast<std::ptrdiff_t>(offset));
+    if (--tasks_left_[work] > 0) return nullptr;
+    return std::move(slots);
   }
 
-  ProgressCounter counter;
-  counter.start_at(restored);
+  /// Hand back the slots of a folded chunk for reuse.
+  void recycle(std::unique_ptr<Slots> slots) SCAA_EXCLUDES(mutex_) {
+    const util::MutexLock lock(mutex_);
+    free_.push_back(std::move(slots));
+  }
+
+ private:
+  util::Mutex mutex_;
+  std::vector<std::size_t> tasks_left_ SCAA_GUARDED_BY(mutex_);
+  std::vector<std::unique_ptr<Slots>> open_ SCAA_GUARDED_BY(mutex_);
+  std::vector<std::unique_ptr<Slots>> free_ SCAA_GUARDED_BY(mutex_);
+};
+
+}  // namespace
+
+std::vector<Aggregate> run_campaigns_streaming(
+    std::span<const CampaignJob> jobs, const CampaignConfig& config) {
+  const WorldAssets assets = WorldAssets::make_default();
+
+  // Per job: clamp its chunk range, restore the chunks its checkpoint
+  // already holds (they are never recomputed, and the job's first progress
+  // call accounts for them), and list the rest as work, in chunk order.
+  std::vector<JobRun> runs(jobs.size());
+  std::vector<ChunkWork> work;
+  std::vector<std::size_t> tasks_per_chunk;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const CampaignJob& job = jobs[j];
+    JobRun& run = runs[j];
+    const std::size_t n_chunks =
+        (job.items.size() + kCampaignChunk - 1) / kCampaignChunk;
+    run.range_begin =
+        job.chunks ? std::min(job.chunks->begin_chunk, n_chunks) : 0;
+    const std::size_t range_end =
+        job.chunks ? std::max(run.range_begin,
+                              std::min(job.chunks->end_chunk, n_chunks))
+                   : n_chunks;
+    run.partials.resize(range_end - run.range_begin);
+    std::size_t restored = 0;
+    for (std::size_t c = run.range_begin; c < range_end; ++c) {
+      const std::size_t n = chunk_size(job.items.size(), c);
+      run.range_items += n;
+      if (job.checkpoint != nullptr && job.checkpoint->chunk_complete(c)) {
+        run.partials[c - run.range_begin].acc = job.checkpoint->restored(c);
+        restored += n;
+      } else {
+        work.push_back({j, c});
+        tasks_per_chunk.push_back((n + kBatchWorlds - 1) / kBatchWorlds);
+      }
+    }
+    if (job.progress && restored > 0)
+      job.progress(CampaignProgress{restored, run.range_items});
+    run.counter.start_at(restored);
+  }
+
+  InFlightChunks in_flight(std::move(tasks_per_chunk));
   ArenaPool arenas;
   CommitErrors errors;
+  // One pool task: simulate items [begin, end) of work[w]'s chunk. The task
+  // that completes the chunk folds, commits and reports it.
+  const auto run_task = [&](std::size_t w, std::size_t begin,
+                            std::size_t end) {
+    if (errors.failed.load(std::memory_order_acquire)) return;
+    const ChunkWork& cw = work[w];
+    const CampaignJob& job = jobs[cw.job];
+    std::array<sim::SimulationSummary, kBatchWorlds> summaries;
+    {
+      ArenaPool::Lease lease(arenas);
+      lease->run_items(job.items.subspan(begin, end - begin), assets,
+                       {summaries.data(), end - begin});
+    }
+    std::unique_ptr<InFlightChunks::Slots> slots =
+        in_flight.deposit(w, begin - cw.chunk * kCampaignChunk,
+                          {summaries.data(), end - begin});
+    if (!slots) return;
+
+    // Fold in item order within the chunk — the same order the sequential
+    // reduction uses.
+    JobRun& run = runs[cw.job];
+    AggregateAccumulator& acc = run.partials[cw.chunk - run.range_begin].acc;
+    const std::size_t n = chunk_size(job.items.size(), cw.chunk);
+    for (std::size_t i = 0; i < n; ++i) acc.add((*slots)[i]);
+    in_flight.recycle(std::move(slots));
+    // Commit before reporting progress: a chunk only ever counts as done
+    // once it is durable.
+    if (job.checkpoint != nullptr) {
+      try {
+        job.checkpoint->commit(cw.chunk, acc);
+      } catch (const std::exception& e) {
+        errors.capture(e);
+        return;
+      }
+    }
+    if (job.progress) run.counter.advance(n, run.range_items, job.progress);
+  };
   {
     ThreadPool pool(config.threads);
-    for (std::size_t c = range_begin; c < range_end; ++c) {
-      if (checkpoint != nullptr && checkpoint->chunk_complete(c)) continue;
-      pool.submit([&items, &assets, &partials, &progress, &counter, &arenas,
-                   checkpoint, &errors, c, range_items] {
-        if (errors.failed.load(std::memory_order_acquire)) return;
-        const std::size_t begin = c * kCampaignChunk;
-        const std::size_t end =
-            std::min(items.size(), begin + kCampaignChunk);
-        {
-          ArenaPool::Lease lease(arenas);
-          std::array<sim::SimulationSummary, kCampaignChunk> summaries;
-          lease->run_items({items.data() + begin, end - begin}, assets,
-                           {summaries.data(), end - begin});
-          // Fold in item order within the chunk — the same order the
-          // sequential reduction uses.
-          for (std::size_t i = begin; i < end; ++i)
-            partials[c].acc.add(summaries[i - begin]);
-        }
-        // Commit before reporting progress: a chunk only ever counts as
-        // done once it is durable.
-        if (checkpoint != nullptr) {
-          try {
-            checkpoint->commit(c, partials[c].acc);
-          } catch (const std::exception& e) {
-            errors.capture(e);
-            return;
-          }
-        }
-        if (progress) counter.advance(end - begin, range_items, progress);
-      });
+    for (std::size_t w = 0; w < work.size(); ++w) {
+      const ChunkWork& cw = work[w];
+      const std::size_t chunk_begin = cw.chunk * kCampaignChunk;
+      const std::size_t chunk_end =
+          chunk_begin + chunk_size(jobs[cw.job].items.size(), cw.chunk);
+      for (std::size_t begin = chunk_begin; begin < chunk_end;
+           begin += kBatchWorlds) {
+        const std::size_t end = std::min(chunk_end, begin + kBatchWorlds);
+        pool.submit([&run_task, w, begin, end] { run_task(w, begin, end); });
+      }
     }
     pool.wait_idle();
   }
   errors.rethrow_if_failed();
 
-  // Merge in chunk order: the fixed order is what makes the result
-  // independent of which worker ran which chunk — and, with a checkpoint,
-  // of which chunks were restored vs. freshly computed. A sliced call
-  // folds only its own range, so the returned Aggregate covers exactly
+  // Merge each job in chunk order: the fixed order is what makes the
+  // result independent of which worker ran which task — and, with a
+  // checkpoint, of which chunks were restored vs. freshly computed. A
+  // sliced job folds only its own range, so its Aggregate covers exactly
   // the slice's items.
-  AggregateAccumulator total;
-  for (std::size_t c = range_begin; c < range_end; ++c)
-    total.merge(partials[c].acc);
-  return total.finish();
+  std::vector<Aggregate> aggregates;
+  aggregates.reserve(runs.size());
+  for (const JobRun& run : runs) {
+    AggregateAccumulator total;
+    for (const PaddedAccumulator& partial : run.partials)
+      total.merge(partial.acc);
+    aggregates.push_back(total.finish());
+  }
+  return aggregates;
+}
+
+Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
+                                 const CampaignConfig& config,
+                                 const CampaignProgressFn& progress,
+                                 CampaignCheckpoint* checkpoint,
+                                 const ChunkRange* chunks) {
+  CampaignJob job;
+  job.items = items;
+  job.progress = progress;
+  job.checkpoint = checkpoint;
+  if (chunks != nullptr) job.chunks = *chunks;
+  return run_campaigns_streaming({&job, 1}, config).front();
 }
 
 }  // namespace scaa::exp

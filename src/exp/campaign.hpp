@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "exp/thread_pool.hpp"
@@ -81,10 +83,13 @@ sim::WorldConfig world_config_for(const CampaignItem& item);
 sim::WorldConfig world_config_for(const CampaignItem& item,
                                   const WorldAssets& assets);
 
-/// Items per pool task. Also the reduction granularity of the streaming
-/// aggregator and the commit granularity of the checkpoint layer: fixed, so
-/// streaming results are bit-identical to the vector-of-results path at any
-/// thread count, and a resumed campaign restores whole chunks.
+/// Items per chunk: the reduction granularity of the streaming aggregator,
+/// the commit granularity of the checkpoint layer, and the unit sharding
+/// splits grids on. Fixed, so streaming results are bit-identical to the
+/// vector-of-results path at any thread count, and a resumed campaign
+/// restores whole chunks. Pool tasks are smaller (kBatchWorlds items, see
+/// run_campaigns_streaming); a chunk is folded once all of its tasks are
+/// done.
 inline constexpr std::size_t kCampaignChunk = 64;
 
 class CampaignCheckpoint;  // exp/checkpoint.hpp: streaming-aggregate mode
@@ -186,33 +191,62 @@ struct CampaignProgress {
 };
 using CampaignProgressFn = std::function<void(const CampaignProgress&)>;
 
-/// Run every item WITHOUT materializing per-item results: items are
-/// submitted in kCampaignChunk-sized tasks, each task folds its outcomes
-/// into its own cache-line-padded accumulator, and the partials are merged
-/// in chunk order at the end. Memory stays O(items / kCampaignChunk)
-/// accumulators (~64 B each) instead of O(items) summaries, the returned
-/// Aggregate is bit-identical to aggregate(run_campaign(items, config)) at
-/// any thread count, and @p progress (may be empty; called under a lock)
-/// enables live output for hour-long paper-scale campaigns.
+/// One grid of a streaming run: the unit run_campaigns_streaming takes a
+/// list of.
+struct CampaignJob {
+  /// The FULL grid, even when @p chunks selects a slice of it, so the
+  /// checkpoint fingerprint matches every other slice of the same campaign.
+  std::span<const CampaignItem> items;
+  /// Called after every finished chunk (may be empty). Calls for one job
+  /// are serialized and see non-decreasing counts; calls for different
+  /// jobs may run concurrently on different workers.
+  CampaignProgressFn progress;
+  /// Restores and commits this grid's chunks (may be null).
+  CampaignCheckpoint* checkpoint = nullptr;
+  /// The chunks this job owns (nullopt = the whole grid).
+  std::optional<ChunkRange> chunks;
+};
+
+/// Run every job's items WITHOUT materializing per-item results, all
+/// through one ThreadPool, one ArenaPool and one WorldAssets, and return
+/// one Aggregate per job, in job order.
 ///
-/// With a @p checkpoint (may be null), chunks the checkpoint already holds
-/// are restored (never recomputed) and counted into the first progress
-/// callback, and each freshly finished chunk is committed — an fsync'd
-/// atomic append — before it reports progress. Because restored and
-/// recomputed partials merge in the same fixed chunk order, a run that is
-/// killed and resumed any number of times returns an Aggregate bit-identical
-/// to an uninterrupted run, at any thread count. A commit failure (e.g. disk
-/// full) aborts outstanding work and rethrows after the pool drains.
+/// Scheduling: tasks of kBatchWorlds items are queued in job order, then
+/// chunk order, so no grid ends in a barrier that idles workers and small
+/// grids spread over every thread. Each kCampaignChunk chunk counts its
+/// tasks down; the worker that finishes a chunk's last task folds the
+/// chunk's summaries in item order into the chunk's accumulator, commits
+/// it, and only then reports progress. Each job's chunk accumulators are
+/// merged in chunk order at the end. Both orders are the ones
+/// aggregate() uses, so every returned Aggregate is bit-identical to
+/// aggregate(run_campaign(job.items)) at any thread count.
 ///
-/// With a @p chunks range (may be null = the whole grid), only the chunks
-/// in [begin_chunk, end_chunk) are restored, run, folded, and counted: this
-/// is the shard-worker entry point, where @p items is still the FULL grid
-/// (so the checkpoint fingerprint matches every other slice of the same
-/// campaign) but this process owns only its slice. Progress totals cover
-/// the slice, and the returned Aggregate is the slice's alone — the merge
-/// step (exp/shard.hpp) folds the per-chunk checkpoint records of all
-/// slices in global chunk order to reconstruct the campaign total
-/// bit-identically.
+/// Memory: per-item summaries live only while their chunk is in flight.
+/// The queue is FIFO, so at most threads + 1 chunks are in flight at once;
+/// besides those, the run holds one cache-line-padded accumulator per
+/// chunk.
+///
+/// With a job's checkpoint, its chunks already in the file are restored
+/// (never recomputed) and counted into the job's first progress call, and
+/// each freshly finished chunk is committed (an fsync'd atomic append)
+/// before it reports progress. Restored and recomputed partials merge in
+/// the same chunk order, so a run that is killed and resumed any number of
+/// times returns bit-identical aggregates. A commit failure (e.g. disk
+/// full) in any job aborts the outstanding work of every job and is
+/// rethrown as CheckpointError after the pool drains.
+///
+/// With a job's chunk range, only the chunks in [begin_chunk, end_chunk)
+/// are restored, run, folded and counted (an oversized range is clamped):
+/// this is the shard-worker entry point. Progress totals cover the slice,
+/// and the job's Aggregate is the slice's alone — the merge step
+/// (exp/shard.hpp) folds the per-chunk checkpoint records of all slices
+/// in global chunk order to reconstruct the campaign total bit-identically.
+std::vector<Aggregate> run_campaigns_streaming(
+    std::span<const CampaignJob> jobs, const CampaignConfig& config);
+
+/// One grid through run_campaigns_streaming: a single job with the given
+/// progress callback, checkpoint (may be null) and chunk range (may be
+/// null = the whole grid).
 Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
                                  const CampaignConfig& config,
                                  const CampaignProgressFn& progress = {},

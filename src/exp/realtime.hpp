@@ -66,10 +66,12 @@ struct RealtimeReport {
   double period_s = 0.01;
 
   /// phases[0] is the whole tick; the rest decompose it along the
-  /// World::step phase boundaries: "sense_publish" (sensor models + bus
-  /// publish), "project_sweep" (both batched Polyline::project_many
-  /// resolutions), "adas_plan" (ADAS planners, controls, actuation),
-  /// "monitor" (hazard/safety monitoring).
+  /// World::step phase boundaries: "traffic" (begin_tick: road lookups and
+  /// the lead/trailing/neighbor vehicles' control and integration),
+  /// "project_sweep" (both batched Polyline::project_many resolutions),
+  /// "ego" (mid_tick: sensor models and bus publishes, attack engine,
+  /// controls and CAN, driver model, Ego dynamics), "monitor" (end_tick:
+  /// hazard/safety monitoring).
   std::vector<PhaseStats> phases;
 
   /// Fraction of ticks that overran; 0 when no tick ran.

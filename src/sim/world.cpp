@@ -355,7 +355,8 @@ void World::begin_tick(PendingProjections& pend) {
   }
 }
 
-void World::publish_sensors(double road_curvature, double road_heading) {
+void World::publish_sensors(double road_curvature, double road_heading,
+                            double lead_gap) {
   const auto& ego = ego_->state();
   gps_->step(step_index_, ego);
 
@@ -370,8 +371,7 @@ void World::publish_sensors(double road_curvature, double road_heading) {
   std::optional<sensors::RadarModel::LeadTruth> lead_truth;
   if (lead_) {
     sensors::RadarModel::LeadTruth t;
-    t.gap = vehicle::bumper_gap(ego, ego_->params(), lead_->state(),
-                                lead_->params());
+    t.gap = lead_gap;
     t.rel_speed = lead_->state().speed - ego.speed;
     t.lead_speed = lead_->state().speed;
     t.lateral_offset = lead_->state().d - ego.d;
@@ -400,7 +400,13 @@ void World::mid_tick(PendingProjections& pend) {
     can_bus_.pump_delayed(step_index_);
   }
 
-  publish_sensors(tick_curvature_, tick_heading_);
+  // Neither car moves between here and the driver observation below, so
+  // the radar and the driver share one gap computation.
+  const double lead_gap =
+      lead_ ? vehicle::bumper_gap(ego_->state(), ego_->params(),
+                                  lead_->state(), lead_->params())
+            : 0.0;
+  publish_sensors(tick_curvature_, tick_heading_, lead_gap);
 
   if (config_.attack_enabled) attack_engine_->step(time_, config_.dt);
 
@@ -424,10 +430,8 @@ void World::mid_tick(PendingProjections& pend) {
       math::wrap_angle(tick_heading_ - ego_->state().pose.heading);
   obs.road_curvature = tick_curvature_;
   if (lead_) {
-    const double gap = vehicle::bumper_gap(ego_->state(), ego_->params(),
-                                           lead_->state(), lead_->params());
-    obs.lead_visible = gap > 0.0 && gap < 150.0;
-    obs.lead_gap = gap;
+    obs.lead_visible = lead_gap > 0.0 && lead_gap < 150.0;
+    obs.lead_gap = lead_gap;
     obs.lead_rel_speed = lead_->state().speed - ego_->state().speed;
   }
 

@@ -208,7 +208,10 @@ class World {
   // into any phase, so its runs stay bit-identical to free-running ones.
   friend class exp::RealtimeExecutor;
 
-  void publish_sensors(double road_curvature, double road_heading);
+  /// @p lead_gap is this tick's Ego-to-lead bumper gap (unused without a
+  /// lead); mid_tick computes it once for the radar and the driver.
+  void publish_sensors(double road_curvature, double road_heading,
+                       double lead_gap);
   void record(Trace* trace, const vehicle::ActuatorCommand& cmd);
 
   /// step() decomposed into phases so WorldBatch can interleave K worlds

@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "exp/campaign.hpp"
+#include "exp/checkpoint.hpp"
 #include "exp/param_space.hpp"
 #include "exp/tables.hpp"
+#include "util/serial.hpp"
 
 namespace {
 
@@ -178,6 +184,173 @@ TEST(Campaign, StreamingReportsMonotonicProgress) {
     EXPECT_GT(seen[i].completed, seen[i - 1].completed);
   EXPECT_EQ(seen.back().completed, grid.size());
   EXPECT_EQ(seen.back().total, grid.size());
+}
+
+/// Bit-exact Aggregate equality (doubles compared as bit patterns).
+void expect_bit_identical(const exp::Aggregate& a, const exp::Aggregate& b) {
+  EXPECT_EQ(a.simulations, b.simulations);
+  EXPECT_EQ(a.sims_with_alerts, b.sims_with_alerts);
+  EXPECT_EQ(a.sims_with_hazards, b.sims_with_hazards);
+  EXPECT_EQ(a.sims_with_accidents, b.sims_with_accidents);
+  EXPECT_EQ(a.hazards_without_alerts, b.hazards_without_alerts);
+  EXPECT_EQ(a.fcw_activations, b.fcw_activations);
+  EXPECT_EQ(util::double_bits(a.lane_invasion_rate_mean),
+            util::double_bits(b.lane_invasion_rate_mean));
+  EXPECT_EQ(util::double_bits(a.tth_mean), util::double_bits(b.tth_mean));
+  EXPECT_EQ(util::double_bits(a.tth_std), util::double_bits(b.tth_std));
+}
+
+/// Grids for the multi-grid runner: 1 item, 65 (a chunk plus a one-item
+/// tail), 144 (three chunks, a Table IV grid at reps 2), and an empty grid,
+/// each from a different strategy so their outcomes differ.
+std::vector<std::vector<exp::CampaignItem>> multi_grid_set() {
+  const auto cc = grid_config(2, 29);
+  auto one =
+      exp::make_grid(attack::StrategyKind::kContextAware, true, true, cc);
+  one.resize(1);
+  auto chunk_and_one =
+      exp::make_grid(attack::StrategyKind::kNone, false, true, cc);
+  chunk_and_one.resize(exp::kCampaignChunk + 1);
+  auto three_chunks =
+      exp::make_grid(attack::StrategyKind::kRandomSt, false, true, cc);
+  return {one, chunk_and_one, three_chunks, {}};
+}
+
+std::vector<exp::Aggregate> per_grid_reference(
+    const std::vector<std::vector<exp::CampaignItem>>& grids) {
+  exp::CampaignConfig cc;
+  cc.threads = 4;
+  std::vector<exp::Aggregate> reference;
+  for (const auto& grid : grids)
+    reference.push_back(exp::aggregate(exp::run_campaign(grid, cc)));
+  return reference;
+}
+
+std::string multi_grid_temp_path(const std::string& name) {
+  return testing::TempDir() + "scaa_multigrid_" + name;
+}
+
+TEST(Campaign, MultiGridMatchesPerGridBitExactly) {
+  // One pool for every grid, 8-item tasks, each chunk folded in item order
+  // by whichever worker finishes it last: the aggregates must equal the
+  // per-grid materializing reduction bit for bit at any thread count, and
+  // each grid's progress must count up to its own total.
+  const auto grids = multi_grid_set();
+  ASSERT_EQ(grids[2].size(), 144u);
+  const auto reference = per_grid_reference(grids);
+
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<std::vector<exp::CampaignProgress>> seen(grids.size());
+    std::vector<exp::CampaignJob> jobs;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      exp::CampaignJob job;
+      job.items = grids[g];
+      // Calls for one job are serialized, so each job's vector is only
+      // ever touched by one thread at a time.
+      job.progress = [&seen, g](const exp::CampaignProgress& p) {
+        seen[g].push_back(p);
+      };
+      jobs.push_back(std::move(job));
+    }
+    exp::CampaignConfig cc;
+    cc.threads = threads;
+    const auto aggs = exp::run_campaigns_streaming(jobs, cc);
+    ASSERT_EQ(aggs.size(), grids.size());
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      SCOPED_TRACE("grid " + std::to_string(g));
+      expect_bit_identical(aggs[g], reference[g]);
+      if (grids[g].empty()) {
+        EXPECT_TRUE(seen[g].empty());
+        continue;
+      }
+      ASSERT_FALSE(seen[g].empty());
+      for (std::size_t i = 1; i < seen[g].size(); ++i)
+        EXPECT_GE(seen[g][i].completed, seen[g][i - 1].completed);
+      EXPECT_EQ(seen[g].back().completed, grids[g].size());
+      for (const exp::CampaignProgress& p : seen[g])
+        EXPECT_EQ(p.total, grids[g].size());
+    }
+  }
+}
+
+TEST(Campaign, MultiGridResumeMatchesUninterrupted) {
+  // Commit some chunks of two grids (through chunk ranges, as a killed
+  // run would have left them), then resume all grids in one call: the
+  // restored and recomputed chunks must merge to the uninterrupted result.
+  const auto grids = multi_grid_set();
+  const auto reference = per_grid_reference(grids);
+  const std::string path65 = multi_grid_temp_path("65");
+  const std::string path144 = multi_grid_temp_path("144");
+  std::remove(path65.c_str());
+  std::remove(path144.c_str());
+  exp::CampaignConfig cc;
+  cc.threads = 3;
+  {
+    exp::CampaignCheckpoint ckpt65(path65, grids[1], /*resume=*/false);
+    exp::CampaignCheckpoint ckpt144(path144, grids[2], /*resume=*/false);
+    std::vector<exp::CampaignJob> jobs(2);
+    jobs[0].items = grids[1];
+    jobs[0].checkpoint = &ckpt65;
+    jobs[0].chunks = exp::ChunkRange{1, 2};  // the one-item tail chunk
+    jobs[1].items = grids[2];
+    jobs[1].checkpoint = &ckpt144;
+    jobs[1].chunks = exp::ChunkRange{0, 2};
+    exp::run_campaigns_streaming(jobs, cc);
+  }
+
+  exp::CampaignCheckpoint ckpt65(path65, grids[1], /*resume=*/true);
+  exp::CampaignCheckpoint ckpt144(path144, grids[2], /*resume=*/true);
+  ASSERT_EQ(ckpt65.completed_chunks(), 1u);
+  ASSERT_EQ(ckpt144.completed_chunks(), 2u);
+  std::vector<exp::CampaignProgress> first(grids.size());
+  std::vector<exp::CampaignJob> jobs;
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    exp::CampaignJob job;
+    job.items = grids[g];
+    job.progress = [&first, g](const exp::CampaignProgress& p) {
+      if (first[g].completed == 0) first[g] = p;
+    };
+    jobs.push_back(std::move(job));
+  }
+  jobs[1].checkpoint = &ckpt65;
+  jobs[2].checkpoint = &ckpt144;
+  const auto aggs = exp::run_campaigns_streaming(jobs, cc);
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    SCOPED_TRACE("grid " + std::to_string(g));
+    expect_bit_identical(aggs[g], reference[g]);
+  }
+  // The restored chunks are counted before anything new runs.
+  EXPECT_EQ(first[1].completed, 1u);
+  EXPECT_EQ(first[2].completed, 2 * exp::kCampaignChunk);
+  std::remove(path65.c_str());
+  std::remove(path144.c_str());
+}
+
+TEST(Campaign, MultiGridCommitFailureRethrownAfterDrain) {
+  // A checkpoint sized for the first chunk of the 144-item grid: committing
+  // chunk 1 or 2 fails the way a full disk would. The failure must come
+  // back to the caller as CheckpointError once the pool has drained (an
+  // exception escaping a pool task would terminate the process), while the
+  // other grids share the same pool.
+  const auto grids = multi_grid_set();
+  const std::string path = multi_grid_temp_path("short");
+  std::remove(path.c_str());
+  const std::vector<exp::CampaignItem> first_chunk(
+      grids[2].begin(), grids[2].begin() + exp::kCampaignChunk);
+  exp::CampaignCheckpoint short_ckpt(path, first_chunk, /*resume=*/false);
+
+  std::vector<exp::CampaignJob> jobs;
+  for (const auto& grid : grids) {
+    exp::CampaignJob job;
+    job.items = grid;
+    jobs.push_back(std::move(job));
+  }
+  jobs[2].checkpoint = &short_ckpt;
+  exp::CampaignConfig cc;
+  cc.threads = 4;
+  EXPECT_THROW(exp::run_campaigns_streaming(jobs, cc), exp::CheckpointError);
+  std::remove(path.c_str());
 }
 
 TEST(Campaign, SharedAssetsMatchPrivatelyBuiltWorlds) {

@@ -350,6 +350,29 @@ TEST(Realtime, CliSummaryRowByteIdenticalAcrossModes) {
   EXPECT_TRUE(line_starting_with(free_out.str(), "deadline,").empty());
 }
 
+TEST(Realtime, CliPhaseRowsNamedAfterTheirContents) {
+  // The spans follow the tick's phase sequence and are named after what
+  // runs inside them: traffic (begin_tick), both projection sweeps, the
+  // Ego's sensors/attack/controls/driver/dynamics (mid_tick), the monitor.
+  std::ostringstream out, err;
+  ASSERT_EQ(cli::run_campaign_command(
+                "run",
+                {"--duration", "0.1", "--realtime", "--period", "0.00001",
+                 "--format", "csv"},
+                out, err),
+            0);
+  std::vector<std::string> phases;
+  std::istringstream in(out.str());
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("phase:", 0) == 0)
+      phases.push_back(line.substr(0, line.find(',')));
+  const std::vector<std::string> expected = {
+      "phase:tick", "phase:traffic", "phase:project_sweep", "phase:ego",
+      "phase:monitor"};
+  EXPECT_EQ(phases, expected);
+}
+
 TEST(Realtime, CliUsageErrorsExitTwo) {
   const std::vector<std::vector<std::string>> bad = {
       {"--period", "0.01"},                       // --period without --realtime
