@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "attack/value_corruption.hpp"
 #include "can/packer.hpp"
@@ -17,13 +20,22 @@ using namespace scaa;
 
 // --- CAN codec: encode/decode round-trips over random signals ---------------
 
+// CTest names each case after gtest's raw-byte print of this object, so
+// every byte of it must be set: `pin` fills what would otherwise be
+// uninitialised padding (whose contents changed the test names from one
+// build to the next). Its values keep the names the cases were first
+// registered under; the signal under test never reads them.
 struct SignalCase {
   int start_bit;
   int size;
   can::ByteOrder order;
   bool is_signed;
+  std::array<std::uint8_t, 6> pin;
   double factor;
 };
+static_assert(sizeof(SignalCase) == 24 &&
+                  offsetof(SignalCase, factor) == 16,
+              "SignalCase must print as 24 bytes with no padding");
 
 class SignalRoundTrip : public ::testing::TestWithParam<SignalCase> {};
 
@@ -45,13 +57,14 @@ TEST_P(SignalRoundTrip, RandomValuesSurvive) {
 INSTANTIATE_TEST_SUITE_P(
     Layouts, SignalRoundTrip,
     ::testing::Values(
-        SignalCase{0, 8, can::ByteOrder::kLittleEndian, false, 1.0},
-        SignalCase{4, 12, can::ByteOrder::kLittleEndian, true, 0.25},
-        SignalCase{7, 16, can::ByteOrder::kBigEndian, true, 0.01},
-        SignalCase{7, 16, can::ByteOrder::kBigEndian, false, 0.01},
-        SignalCase{23, 8, can::ByteOrder::kBigEndian, false, 2.0},
-        SignalCase{15, 24, can::ByteOrder::kBigEndian, true, 0.001},
-        SignalCase{8, 32, can::ByteOrder::kLittleEndian, true, 0.1}));
+        SignalCase{0, 8, can::ByteOrder::kLittleEndian, false, {}, 1.0},
+        SignalCase{4, 12, can::ByteOrder::kLittleEndian, true,
+                   {0x01, 0x1B, 0x03, 0x30}, 0.25},
+        SignalCase{7, 16, can::ByteOrder::kBigEndian, true, {0x70}, 0.01},
+        SignalCase{7, 16, can::ByteOrder::kBigEndian, false, {}, 0.01},
+        SignalCase{23, 8, can::ByteOrder::kBigEndian, false, {0x04}, 2.0},
+        SignalCase{15, 24, can::ByteOrder::kBigEndian, true, {}, 0.001},
+        SignalCase{8, 32, can::ByteOrder::kLittleEndian, true, {}, 0.1}));
 
 // --- checksum: any corrupted bit is detected; repair always validates -------
 
@@ -116,10 +129,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StrategicEnvelope,
 
 // --- whole-world invariants over the scenario grid --------------------------
 
+// Printed as raw bytes for the CTest name, like SignalCase: `pin` fills the
+// padding so the names do not depend on the stack at registration time.
 struct GridCase {
   int scenario;
+  std::array<std::uint8_t, 4> pin;
   double gap;
 };
+static_assert(sizeof(GridCase) == 16 && offsetof(GridCase, gap) == 8,
+              "GridCase must print as 16 bytes with no padding");
 
 class BaselineInvariants : public ::testing::TestWithParam<GridCase> {};
 
@@ -144,9 +162,10 @@ TEST_P(BaselineInvariants, NoAttackNoAccidentAnySeed) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, BaselineInvariants,
-    ::testing::Values(GridCase{1, 50.0}, GridCase{1, 100.0}, GridCase{2, 70.0},
-                      GridCase{3, 70.0}, GridCase{4, 50.0},
-                      GridCase{4, 100.0}));
+    ::testing::Values(GridCase{1, {0xFC, 0x7F}, 50.0}, GridCase{1, {}, 100.0},
+                      GridCase{2, {}, 70.0}, GridCase{3, {}, 70.0},
+                      GridCase{4, {0xFC, 0x7F}, 50.0},
+                      GridCase{4, {}, 100.0}));
 
 class AttackInvariants
     : public ::testing::TestWithParam<attack::AttackType> {};
