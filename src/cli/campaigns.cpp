@@ -248,16 +248,23 @@ void reject_slice_file_collisions(
   }
 }
 
+namespace {
+
+/// Serializes every decile_progress closure: its decile state and its
+/// write. The streaming runner serializes one job's callbacks only, and
+/// the jobs of one call report at the same time from different workers,
+/// usually to one stream (every grid of a table writes to the CLI's
+/// progress stream), so a lock per closure would not order their writes.
+/// Decile lines are rare, so one process-wide lock costs nothing.
+util::Mutex g_decile_mutex;
+
+}  // namespace
+
 exp::CampaignProgressFn decile_progress(std::ostream* out,
                                         const std::string& tag) {
   if (out == nullptr) return {};
-  // The callback is invoked from campaign worker threads. The streaming
-  // runner serializes its progress callbacks, but that is the caller's
-  // discipline, not this closure's — so the decile bookkeeping carries its
-  // own annotated lock and stays correct under any caller.
   struct DecileState {
-    util::Mutex mutex;
-    int last_decile SCAA_GUARDED_BY(mutex) = -1;
+    int last_decile SCAA_GUARDED_BY(g_decile_mutex) = -1;
   };
   auto state = std::make_shared<DecileState>();
   return [out, tag, state](const exp::CampaignProgress& p) {
@@ -267,7 +274,7 @@ exp::CampaignProgressFn decile_progress(std::ostream* out,
     // a chunk that crosses several deciles emits a single line. completed
     // == total lands in decile 10, so the 100% line prints exactly once —
     // including for campaigns that finish within one chunk.
-    const util::MutexLock lock(state->mutex);
+    const util::MutexLock lock(g_decile_mutex);
     if (decile <= state->last_decile) return;
     state->last_decile = decile;
     *out << "[" << tag << "] " << p.completed << "/" << p.total << " sims\n"

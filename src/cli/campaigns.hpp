@@ -171,6 +171,8 @@ const std::vector<Table4Strategy>& table4_strategies();
 /// its grid, including exactly one 100% line when it finishes — a campaign
 /// that fits in a single chunk still reports its completion, and a chunk
 /// that crosses several deciles at once emits one line for the latest.
+/// Every closure this returns takes one process-wide lock, so closures of
+/// jobs that run at once may share @p out.
 exp::CampaignProgressFn decile_progress(std::ostream* out,
                                         const std::string& tag);
 

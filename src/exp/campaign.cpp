@@ -331,10 +331,10 @@ struct ChunkWork {
 
 /// Summary slots of the chunks in flight, keyed by their index in the
 /// run's work list. Every task deposits its summaries when it finishes;
-/// the deposit that completes a chunk takes the chunk's slots out, and the
-/// caller folds them and hands them back. A chunk holds slots only from
-/// its first deposit to its last, and folded slots are reused, so a run
-/// allocates at most one slot set per chunk that is in flight at once.
+/// the deposit that completes a chunk takes the chunk's slots out for the
+/// caller to fold, and they are freed with it. A chunk holds slots only
+/// from its first deposit to its last, so only the chunks in flight at
+/// once hold slots.
 class InFlightChunks {
  public:
   using Slots = std::array<sim::SimulationSummary, kCampaignChunk>;
@@ -351,31 +351,17 @@ class InFlightChunks {
       std::span<const sim::SimulationSummary> summaries) SCAA_EXCLUDES(mutex_) {
     const util::MutexLock lock(mutex_);
     std::unique_ptr<Slots>& slots = open_[work];
-    if (!slots) {
-      if (free_.empty()) {
-        slots = std::make_unique<Slots>();
-      } else {
-        slots = std::move(free_.back());
-        free_.pop_back();
-      }
-    }
+    if (!slots) slots = std::make_unique<Slots>();
     std::copy(summaries.begin(), summaries.end(),
               slots->begin() + static_cast<std::ptrdiff_t>(offset));
     if (--tasks_left_[work] > 0) return nullptr;
     return std::move(slots);
   }
 
-  /// Hand back the slots of a folded chunk for reuse.
-  void recycle(std::unique_ptr<Slots> slots) SCAA_EXCLUDES(mutex_) {
-    const util::MutexLock lock(mutex_);
-    free_.push_back(std::move(slots));
-  }
-
  private:
   util::Mutex mutex_;
   std::vector<std::size_t> tasks_left_ SCAA_GUARDED_BY(mutex_);
   std::vector<std::unique_ptr<Slots>> open_ SCAA_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Slots>> free_ SCAA_GUARDED_BY(mutex_);
 };
 
 }  // namespace
@@ -446,7 +432,7 @@ std::vector<Aggregate> run_campaigns_streaming(
     AggregateAccumulator& acc = run.partials[cw.chunk - run.range_begin].acc;
     const std::size_t n = chunk_size(job.items.size(), cw.chunk);
     for (std::size_t i = 0; i < n; ++i) acc.add((*slots)[i]);
-    in_flight.recycle(std::move(slots));
+    slots.reset();
     // Commit before reporting progress: a chunk only ever counts as done
     // once it is durable.
     if (job.checkpoint != nullptr) {

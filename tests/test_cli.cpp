@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "cli/campaigns.hpp"
@@ -291,6 +295,43 @@ TEST(Campaigns, DecileProgressCrossingSeveralDecilesEmitsOneLine) {
   EXPECT_EQ(count_lines(out.str()), 2);
   progress({100, 100});
   EXPECT_EQ(count_lines(out.str()), 3);
+}
+
+// In the Campaign suite so the threaded sanitizer legs run it: closures
+// for different grids report from different threads to one stream, as a
+// table's grids do inside one streaming call.
+TEST(Campaign, DecileProgressClosuresShareOneStreamSafely) {
+  constexpr int kGrids = 4;
+  constexpr std::size_t kTotal = 100;
+  std::ostringstream out;
+  std::vector<exp::CampaignProgressFn> closures;
+  for (int g = 0; g < kGrids; ++g)
+    closures.push_back(cli::decile_progress(&out, "g" + std::to_string(g)));
+  std::latch start(kGrids);
+  std::vector<std::thread> threads;
+  for (int g = 0; g < kGrids; ++g) {
+    threads.emplace_back([&start, &closures, g] {
+      start.arrive_and_wait();
+      for (std::size_t done = 1; done <= kTotal; ++done)
+        closures[static_cast<std::size_t>(g)]({done, kTotal});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  // Per grid, each line whole and in order: the first completed sim
+  // (decile 0), then every tenth.
+  std::vector<std::size_t> seen(kGrids, 0);
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    ASSERT_EQ(line.rfind("[g", 0), 0u) << line;
+    const std::size_t g = static_cast<std::size_t>(line[2] - '0');
+    ASSERT_LT(g, seen.size()) << line;
+    const std::size_t done = seen[g] == 0 ? 1 : seen[g] * kTotal / 10;
+    EXPECT_EQ(line, "[g" + std::to_string(g) + "] " + std::to_string(done) +
+                        "/100 sims");
+    ++seen[g];
+  }
+  for (const std::size_t n : seen) EXPECT_EQ(n, 11u);
 }
 
 TEST(Campaigns, DecileProgressNullStreamAndEmptyGridAreSafe) {

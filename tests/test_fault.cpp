@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -456,6 +457,66 @@ TEST(FaultCli, FaultsTableDeterministicAcrossThreads) {
             0);
   EXPECT_EQ(one, four);
   std::remove(plan.c_str());
+}
+
+TEST(FaultCli, ConcurrentGridsWriteWholeProgressLines) {
+  // Four grids (two legs of two cells) run at once on four workers, and
+  // every grid's decile lines go to the one progress stream: each line
+  // must come out whole, and each grid's counts must rise to its total.
+  const std::string plan =
+      write_plan_file("cli_progress.txt", "can_drop rate=0.1\n");
+  std::string err;
+  ASSERT_EQ(run_cli("faults",
+                    {"--fault-plan", plan, "--reps", "1", "--threads", "4",
+                     "--format", "csv"},
+                    nullptr, &err),
+            0)
+      << err;
+  std::remove(plan.c_str());
+
+  ASSERT_FALSE(err.empty());
+  EXPECT_EQ(err.back(), '\n');
+  struct Seen {
+    std::size_t last = 0;
+    std::size_t total = 0;
+  };
+  std::map<std::string, Seen> grids;
+  std::size_t done_lines = 0;
+  std::istringstream lines(err);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("[faults] ", 0) == 0 &&
+        line.find(" done: ") != std::string::npos) {
+      ++done_lines;
+      continue;
+    }
+    // Otherwise exactly "[<grid tag>] <completed>/<total> sims".
+    const std::size_t close = line.find("] ");
+    ASSERT_TRUE(line.rfind("[faults ", 0) == 0 &&
+                close != std::string::npos)
+        << line;
+    std::istringstream counts(line.substr(close + 2));
+    std::size_t completed = 0;
+    std::size_t total = 0;
+    char slash = 0;
+    std::string word;
+    std::string rest;
+    ASSERT_TRUE(counts >> completed >> slash >> total >> word) << line;
+    ASSERT_FALSE(counts >> rest) << line;
+    ASSERT_EQ(slash, '/') << line;
+    ASSERT_EQ(word, "sims") << line;
+    Seen& seen = grids[line.substr(1, close - 1)];
+    EXPECT_GT(completed, seen.last) << line;
+    EXPECT_LE(completed, total) << line;
+    if (seen.total != 0) {
+      EXPECT_EQ(total, seen.total) << line;
+    }
+    seen.last = completed;
+    seen.total = total;
+  }
+  EXPECT_EQ(done_lines, 2u) << err;
+  ASSERT_EQ(grids.size(), 4u) << err;
+  for (const auto& [tag, seen] : grids)
+    EXPECT_EQ(seen.last, seen.total) << tag;
 }
 
 TEST(FaultCli, BadPlanExitsOneWithPathLine) {
