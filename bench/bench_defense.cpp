@@ -7,7 +7,7 @@
 // Usage: bench_defense [--reps N] [--threads N]
 
 #include <cstdio>
-#include <mutex>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "defense/harness.hpp"
@@ -37,60 +37,63 @@ exp::CampaignConfig defense_config(int reps) {
   return cc;
 }
 
+/// One grid item run under the defense harness.
+struct DefendedRun {
+  sim::SimulationSummary summary;
+  defense::DefenseOutcome outcome;
+};
+
+/// Run every item of @p grid under the defense harness on @p threads
+/// workers. Each task writes only its own slot, so the runs come back in
+/// item order whatever the scheduling.
+std::vector<DefendedRun> run_defended(
+    const std::vector<exp::CampaignItem>& grid, std::size_t threads) {
+  std::vector<DefendedRun> runs(grid.size());
+  exp::ThreadPool pool(threads);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    pool.submit([&grid, &runs, i] {
+      sim::World world(exp::world_config_for(grid[i]));
+      defense::DefenseHarness harness(world, defense::InvariantConfig{},
+                                      defense::MonitorConfig{});
+      runs[i].outcome = harness.run(&runs[i].summary);
+    });
+  }
+  pool.wait_idle();
+  return runs;
+}
+
 DefenseAggregate evaluate(attack::StrategyKind strategy, bool strategic,
                           int reps, std::size_t threads) {
   const auto grid = exp::make_grid(strategy, strategic, /*driver=*/true,
                                    defense_config(reps));
+  // Fold in item order: the latency moments must not depend on which
+  // worker finished first.
   DefenseAggregate agg;
-  std::mutex mutex;
-  exp::ThreadPool pool(threads);
-  for (const auto& item : grid) {
-    pool.submit([&agg, &mutex, item] {
-      sim::World world(exp::world_config_for(item));
-      defense::DefenseHarness harness(world, defense::InvariantConfig{},
-                                      defense::MonitorConfig{});
-      sim::SimulationSummary summary;
-      const auto outcome = harness.run(&summary);
-      const std::lock_guard<std::mutex> lock(mutex);
-      ++agg.runs;
-      if (summary.attack_activated) ++agg.attacks;
-      if (summary.any_hazard) ++agg.hazards;
-      if (summary.attack_activated || outcome.invariant_alarmed ||
-          outcome.monitor_alarmed) {
-        if (outcome.invariant_alarmed &&
-            outcome.invariant_latency >= 0.0)
-          ++agg.invariant_detections;
-        if (outcome.monitor_alarmed && outcome.monitor_latency >= 0.0) {
-          ++agg.monitor_detections;
-          agg.monitor_latency.add(outcome.monitor_latency);
-        }
-        if (summary.attack_activated && outcome.detected_before_hazard)
-          ++agg.detected_before_hazard;
+  for (const auto& [summary, outcome] : run_defended(grid, threads)) {
+    ++agg.runs;
+    if (summary.attack_activated) ++agg.attacks;
+    if (summary.any_hazard) ++agg.hazards;
+    if (summary.attack_activated || outcome.invariant_alarmed ||
+        outcome.monitor_alarmed) {
+      if (outcome.invariant_alarmed && outcome.invariant_latency >= 0.0)
+        ++agg.invariant_detections;
+      if (outcome.monitor_alarmed && outcome.monitor_latency >= 0.0) {
+        ++agg.monitor_detections;
+        agg.monitor_latency.add(outcome.monitor_latency);
       }
-    });
+      if (summary.attack_activated && outcome.detected_before_hazard)
+        ++agg.detected_before_hazard;
+    }
   }
-  pool.wait_idle();
   return agg;
 }
 
 std::size_t count_false_positives(const std::vector<exp::CampaignItem>& grid,
                                   std::size_t threads) {
   std::size_t false_positives = 0;
-  std::mutex mutex;
-  exp::ThreadPool pool(threads);
-  for (const auto& item : grid) {
-    pool.submit([&false_positives, &mutex, item] {
-      sim::World world(exp::world_config_for(item));
-      defense::DefenseHarness harness(world, defense::InvariantConfig{},
-                                      defense::MonitorConfig{});
-      const auto outcome = harness.run();
-      if (outcome.invariant_alarmed || outcome.monitor_alarmed) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        ++false_positives;
-      }
-    });
-  }
-  pool.wait_idle();
+  for (const DefendedRun& run : run_defended(grid, threads))
+    if (run.outcome.invariant_alarmed || run.outcome.monitor_alarmed)
+      ++false_positives;
   return false_positives;
 }
 

@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include <charconv>
@@ -91,27 +92,6 @@ exp::ParamSpaceConfig fig8_config(const CampaignOptions& options) {
   return cfg;
 }
 
-/// Open the checkpoint for one slice (Checkpoint selects the mode:
-/// exp::CampaignCheckpoint for streaming aggregates, exp::ResultsCheckpoint
-/// for table5's per-item pairing); null when checkpointing is off. Notes
-/// restored progress so a resumed run says where it picks up from.
-template <class Checkpoint>
-std::unique_ptr<Checkpoint> open_checkpoint(
-    const CampaignOptions& options, const std::string& slice,
-    const std::vector<exp::CampaignItem>& grid, std::ostream* progress) {
-  if (options.checkpoint.empty()) return nullptr;
-  auto ckpt = std::make_unique<Checkpoint>(
-      slice_checkpoint_file(options.checkpoint, slice,
-                            exp::grid_fingerprint(grid)),
-      grid, options.resume);
-  if (ckpt->completed_items() > 0)
-    note(progress, "[" + slice + "] resuming: " +
-                       std::to_string(ckpt->completed_items()) + "/" +
-                       std::to_string(grid.size()) +
-                       " sims restored from checkpoint");
-  return ckpt;
-}
-
 /// One Table IV strategy with its grid built: the unit table4_report,
 /// bench_report, the shard worker, the coordinator, and merge all share,
 /// so every mode runs (and fingerprints) the identical experiment.
@@ -145,60 +125,130 @@ std::vector<Table4Slice> build_table4_slices(const CampaignOptions& options,
   return slices;
 }
 
-/// Run one Table IV strategy alone through the streaming runner, timed:
-/// bench_report's per-strategy rows. table4_report runs the same slices
-/// (build_table4_slices) through one multi-grid call instead, so bench's
-/// aggregate columns double as a seed-for-seed identity check against it.
-struct StrategyRun {
-  exp::Aggregate agg;
-  double wall_s = 0.0;
-  std::size_t fresh_sims = 0;  ///< simulations actually run (not restored)
+/// One Table V slice: the Context-Aware grid with fixed or strategic
+/// values and the driver on or off, plus its per-item outcomes (the
+/// driver-on/off pairing needs them).
+struct Table5Slice {
+  std::string label;  ///< e.g. "fixed-on"
+  std::string name;   ///< slice name, e.g. "table5 fixed-on"
+  std::vector<exp::CampaignItem> grid;
+  std::vector<sim::SimulationSummary> outcomes;  ///< grid-sized
 };
 
-StrategyRun run_table4_slice(const Table4Slice& slice,
-                             const CampaignOptions& options,
-                             const exp::CampaignConfig& cc,
-                             std::ostream* progress) {
-  const auto checkpoint = open_checkpoint<exp::CampaignCheckpoint>(
-      options, slice.name, slice.grid, progress);
-  const auto start = std::chrono::steady_clock::now();
-  // Streaming runner: O(threads) live memory instead of one result per
-  // simulation, with per-chunk progress while the grid drains.
-  StrategyRun run;
-  run.fresh_sims =
-      slice.grid.size() - (checkpoint ? checkpoint->completed_items() : 0);
-  run.agg = exp::run_campaign_streaming(slice.grid, cc,
-                                        decile_progress(progress, slice.name),
-                                        checkpoint.get());
-  run.wall_s = util::seconds_since(start);
-  return run;
+/// Build the four Table V slices for @p tag in pairing order (fixed on,
+/// fixed off, strategic on, strategic off) and — when checkpointing —
+/// reject slice-file collisions upfront, before any file is opened.
+std::vector<Table5Slice> build_table5_slices(const CampaignOptions& options,
+                                             const exp::CampaignConfig& cc,
+                                             const std::string& tag) {
+  std::vector<Table5Slice> slices;
+  std::vector<std::pair<std::string, std::uint64_t>> names;
+  for (const bool strategic : {false, true}) {
+    for (const bool driver : {true, false}) {
+      Table5Slice slice;
+      slice.label = strategic ? "strategic" : "fixed";
+      slice.label += driver ? "-on" : "-off";
+      slice.name = tag;
+      slice.name += ' ';
+      slice.name += slice.label;
+      slice.grid = exp::make_grid(attack::StrategyKind::kContextAware,
+                                  strategic, driver, cc);
+      slice.outcomes.resize(slice.grid.size());
+      names.emplace_back(slice.name, exp::grid_fingerprint(slice.grid));
+      slices.push_back(std::move(slice));
+    }
+  }
+  if (!options.checkpoint.empty())
+    reject_slice_file_collisions(options.checkpoint, names);
+  return slices;
+}
+
+/// Zip a Table V slice's grid with its outcomes, for the pairing.
+std::vector<exp::CampaignResult> slice_results(const Table5Slice& slice) {
+  std::vector<exp::CampaignResult> results;
+  results.reserve(slice.grid.size());
+  for (std::size_t i = 0; i < slice.grid.size(); ++i)
+    results.push_back({slice.grid[i], slice.outcomes[i]});
+  return results;
 }
 
 /// A grid to run under its slice name.
 struct NamedGrid {
   std::string name;
   const std::vector<exp::CampaignItem>* grid = nullptr;
+  /// Grid-sized per-item outcomes to fill (empty = aggregate only; the
+  /// slice checkpoint then keeps aggregates, else summaries).
+  std::span<sim::SimulationSummary> outcomes;
 };
 
-/// Run every named grid through one streaming call, each with its own
-/// slice checkpoint (when checkpointing) and decile display. Returns one
+/// The engine job for @p named, with its decile display. When
+/// checkpointing, its slice checkpoint is opened into @p checkpoint (which
+/// must outlive the job), keeping summaries if the grid keeps outcomes, and
+/// restored progress is noted so a resumed run says where it picks up.
+exp::CampaignJob named_job(const NamedGrid& named,
+                           const CampaignOptions& options,
+                           std::ostream* progress,
+                           std::unique_ptr<exp::CampaignCheckpoint>& checkpoint) {
+  const std::vector<exp::CampaignItem>& grid = *named.grid;
+  if (!options.checkpoint.empty()) {
+    checkpoint = std::make_unique<exp::CampaignCheckpoint>(
+        slice_checkpoint_file(options.checkpoint, named.name,
+                              exp::grid_fingerprint(grid)),
+        grid, options.resume,
+        named.outcomes.empty() ? exp::CheckpointMode::kAggregate
+                               : exp::CheckpointMode::kSummaries);
+    if (checkpoint->completed_items() > 0)
+      note(progress, "[" + named.name + "] resuming: " +
+                         std::to_string(checkpoint->completed_items()) + "/" +
+                         std::to_string(grid.size()) +
+                         " sims restored from checkpoint");
+  }
+  exp::CampaignJob job;
+  job.items = grid;
+  job.progress = decile_progress(progress, named.name);
+  job.checkpoint = checkpoint.get();
+  job.outcomes = named.outcomes;
+  return job;
+}
+
+/// Run every named grid through one engine call, each with its own slice
+/// checkpoint (when checkpointing) and decile display. Returns one
 /// Aggregate per grid, in order.
 std::vector<exp::Aggregate> run_named_grids(const std::vector<NamedGrid>& grids,
                                             const CampaignOptions& options,
                                             const exp::CampaignConfig& cc,
                                             std::ostream* progress) {
-  std::vector<std::unique_ptr<exp::CampaignCheckpoint>> checkpoints;
+  std::vector<std::unique_ptr<exp::CampaignCheckpoint>> checkpoints(
+      grids.size());
   std::vector<exp::CampaignJob> jobs;
-  for (const NamedGrid& named : grids) {
-    checkpoints.push_back(open_checkpoint<exp::CampaignCheckpoint>(
-        options, named.name, *named.grid, progress));
-    exp::CampaignJob job;
-    job.items = *named.grid;
-    job.progress = decile_progress(progress, named.name);
-    job.checkpoint = checkpoints.back().get();
-    jobs.push_back(std::move(job));
-  }
+  for (std::size_t i = 0; i < grids.size(); ++i)
+    jobs.push_back(named_job(grids[i], options, progress, checkpoints[i]));
   return exp::run_campaigns_streaming(jobs, cc);
+}
+
+/// Run one named grid alone through the engine, timed: bench_report's
+/// per-slice rows. table4_report and table5_report run the same slices
+/// through one multi-grid call instead, so bench's aggregate columns double
+/// as a seed-for-seed identity check against them.
+struct SliceRun {
+  exp::Aggregate agg;
+  double wall_s = 0.0;
+  std::size_t fresh_sims = 0;  ///< simulations actually run (not restored)
+};
+
+SliceRun run_slice_alone(const NamedGrid& named,
+                         const CampaignOptions& options,
+                         const exp::CampaignConfig& cc,
+                         std::ostream* progress) {
+  std::unique_ptr<exp::CampaignCheckpoint> checkpoint;
+  const exp::CampaignJob job = named_job(named, options, progress, checkpoint);
+  const auto start = std::chrono::steady_clock::now();
+  SliceRun run;
+  run.fresh_sims =
+      named.grid->size() - (checkpoint ? checkpoint->completed_items() : 0);
+  run.agg = exp::run_campaigns_streaming({&job, 1}, cc).front();
+  run.wall_s = util::seconds_since(start);
+  return run;
 }
 
 }  // namespace
@@ -617,7 +667,7 @@ Report table4_report(const CampaignOptions& options, std::ostream* progress) {
       build_table4_slices(options, cc, "table4");
   std::vector<NamedGrid> grids;
   for (const Table4Slice& slice : slices)
-    grids.push_back({slice.name, &slice.grid});
+    grids.push_back({slice.name, &slice.grid, {}});
   const std::vector<exp::Aggregate> aggs =
       run_named_grids(grids, options, cc, progress);
   Report report = make_table4_report();
@@ -650,41 +700,18 @@ Report table4_merge_report(const CampaignOptions& options,
 
 Report table5_report(const CampaignOptions& options, std::ostream* progress) {
   const exp::CampaignConfig cc = campaign_config(options);
-  const auto kind = attack::StrategyKind::kContextAware;
+  // Table V pairs driver-on with driver-off per item, so every slice keeps
+  // its per-item outcomes (and checkpoints summaries).
+  std::vector<Table5Slice> slices = build_table5_slices(options, cc, "table5");
+  std::vector<NamedGrid> grids;
+  for (Table5Slice& slice : slices)
+    grids.push_back({slice.name, &slice.grid, slice.outcomes});
+  run_named_grids(grids, options, cc, progress);
 
-  // Table V pairs driver-on with driver-off per item, so each slice runs
-  // through the materializing path with a per-item results checkpoint.
-  auto run = [&](bool strategic, bool driver, const std::string& slice) {
-    const auto grid = exp::make_grid(kind, strategic, driver, cc);
-    const auto checkpoint = open_checkpoint<exp::ResultsCheckpoint>(
-        options, slice, grid, progress);
-    return exp::run_campaign(grid, cc, checkpoint.get());
-  };
-
-  if (!options.checkpoint.empty()) {
-    std::vector<std::pair<std::string, std::uint64_t>> names;
-    for (const bool strategic : {false, true})
-      for (const bool driver : {true, false}) {
-        const std::string slice = std::string("table5 ") +
-                                  (strategic ? "strategic" : "fixed") +
-                                  (driver ? "-on" : "-off");
-        names.emplace_back(slice, exp::grid_fingerprint(exp::make_grid(
-                                      kind, strategic, driver, cc)));
-      }
-    reject_slice_file_collisions(options.checkpoint, names);
-  }
-
-  note(progress, "[table5] fixed values, driver on...");
-  const auto fixed_on = run(false, true, "table5 fixed-on");
-  note(progress, "[table5] fixed values, driver off...");
-  const auto fixed_off = run(false, false, "table5 fixed-off");
-  note(progress, "[table5] strategic values, driver on...");
-  const auto strat_on = run(true, true, "table5 strategic-on");
-  note(progress, "[table5] strategic values, driver off...");
-  const auto strat_off = run(true, false, "table5 strategic-off");
-
-  const auto fixed = exp::pair_driver_outcomes(fixed_on, fixed_off);
-  const auto strategic = exp::pair_driver_outcomes(strat_on, strat_off);
+  const auto fixed = exp::pair_driver_outcomes(slice_results(slices[0]),
+                                               slice_results(slices[1]));
+  const auto strategic = exp::pair_driver_outcomes(slice_results(slices[2]),
+                                                   slice_results(slices[3]));
 
   Report report(
       "Table V: Context-Aware attack per type, fixed vs. strategic values",
@@ -695,10 +722,10 @@ Report table5_report(const CampaignOptions& options, std::ostream* progress) {
   const struct {
     const char* label;
     const std::map<attack::AttackType, exp::TypeOutcome>& outcomes;
-  } slices[] = {{"fixed", fixed}, {"strategic", strategic}};
-  for (const auto& slice : slices) {
-    for (const auto& [type, o] : slice.outcomes) {
-      report.add_row({to_string(type), std::string(slice.label),
+  } values[] = {{"fixed", fixed}, {"strategic", strategic}};
+  for (const auto& v : values) {
+    for (const auto& [type, o] : v.outcomes) {
+      report.add_row({to_string(type), std::string(v.label),
                       ll(o.agg.simulations), ll(o.agg.sims_with_alerts),
                       ll(o.agg.sims_with_hazards),
                       ll(o.agg.sims_with_accidents), ll(o.prevented_hazards),
@@ -713,45 +740,31 @@ Report table5_report(const CampaignOptions& options, std::ostream* progress) {
 
 namespace {
 
-/// bench --campaign table5: wall-clock per Table V slice (the four
-/// materializing campaigns), emitted as BENCH_table5.json rows.
+/// bench --campaign table5: wall-clock per Table V slice, each run alone
+/// and keeping its outcomes as table5_report does, emitted as
+/// BENCH_table5.json rows.
 Report bench_table5_report(const CampaignOptions& options,
                            std::ostream* progress) {
   const exp::CampaignConfig cc = campaign_config(options);
-  const auto kind = attack::StrategyKind::kContextAware;
 
   Report report("bench: Table V campaign wall-clock (materializing runner)",
                 {"slice", "simulations", "wall_s", "sims_per_s"});
-  const struct {
-    const char* slice;
-    bool strategic;
-    bool driver;
-  } slices[] = {{"fixed-on", false, true},
-                {"fixed-off", false, false},
-                {"strategic-on", true, true},
-                {"strategic-off", true, false}};
   double total_wall = 0.0;
   std::size_t total_sims = 0;
   std::size_t total_fresh = 0;
-  for (const auto& s : slices) {
-    const auto grid = exp::make_grid(kind, s.strategic, s.driver, cc);
-    const auto checkpoint = open_checkpoint<exp::ResultsCheckpoint>(
-        options, std::string("bench-table5 ") + s.slice, grid, progress);
-    const auto start = std::chrono::steady_clock::now();
+  for (Table5Slice& slice : build_table5_slices(options, cc, "bench-table5")) {
     // Throughput over freshly computed sims only: restored chunks cost ~no
     // wall-clock, and a resumed bench must not emit an inflated trajectory
     // point.
-    const std::size_t fresh =
-        grid.size() - (checkpoint ? checkpoint->completed_items() : 0);
-    const auto results = exp::run_campaign(grid, cc, checkpoint.get());
-    const double wall = util::seconds_since(start);
+    const auto [agg, wall, fresh] = run_slice_alone(
+        {slice.name, &slice.grid, slice.outcomes}, options, cc, progress);
     total_wall += wall;
-    total_sims += results.size();
+    total_sims += agg.simulations;
     total_fresh += fresh;
     report.add_row(
-        {std::string(s.slice), ll(results.size()), wall,
+        {slice.label, ll(agg.simulations), wall,
          wall > 0.0 ? static_cast<double>(fresh) / wall : 0.0});
-    note(progress, "[bench-table5] " + std::string(s.slice) + ": " +
+    note(progress, "[bench-table5] " + slice.label + ": " +
                        std::to_string(fresh) + " sims in " +
                        std::to_string(wall) + " s");
   }
@@ -1059,7 +1072,8 @@ Report bench_report(const CampaignOptions& options, std::ostream* progress) {
   std::vector<exp::Aggregate> inprocess_aggs;
   for (const Table4Slice& slice : build_table4_slices(options, cc, "bench")) {
     const auto [agg, wall, fresh] =
-        run_table4_slice(slice, options, cc, progress);
+        run_slice_alone({slice.name, &slice.grid, {}}, options, cc,
+                        progress);
     total_wall += wall;
     total_sims += agg.simulations;
     total_fresh += fresh;
@@ -1304,7 +1318,7 @@ Report faults_report(const CampaignOptions& options, std::ostream* progress) {
   std::vector<NamedGrid> grids;
   for (const CellRun& run : runs)
     for (const Leg* leg : {&run.benign, &run.attacked})
-      grids.push_back({leg->name, &leg->grid});
+      grids.push_back({leg->name, &leg->grid, {}});
   const std::vector<exp::Aggregate> aggs =
       run_named_grids(grids, options, cc, progress);
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -1688,13 +1702,13 @@ int run_campaign_command(const std::string& name,
   }
   if (cmd->run == &bench_report) {
     options.bench_campaign = args.get_string("--campaign");
-    // The fig8 parameter-space sweep does not run through the chunked grid
-    // runners, so it cannot checkpoint yet; silently ignoring the flags
-    // would leave the user believing an hour-long run was protected.
+    // The fig8 parameter-space sweep runs without a checkpoint; silently
+    // ignoring the flags would leave the user believing an hour-long run
+    // was protected.
     if (options.bench_campaign == "fig8" && !options.checkpoint.empty()) {
       err << "scaa_campaign bench: --checkpoint is not supported with "
-             "--campaign fig8 (the parameter-space sweep has no chunked "
-             "checkpoint path yet)\n";
+             "--campaign fig8 (the parameter-space sweep takes no "
+             "checkpoint)\n";
       return 2;
     }
   }

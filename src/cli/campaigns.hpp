@@ -3,9 +3,10 @@
 /// @file campaigns.hpp
 /// The paper's campaigns (Table IV, Table V, Fig. 7, Fig. 8) as reusable
 /// functions: each builds the experiment grid via exp::make_grid /
-/// exp::run_param_space, runs it on the exp::ThreadPool, and returns a
-/// cli::Report. scaa_campaign's subcommands and the tests both call these,
-/// so the CLI binary itself is a thin dispatch shell.
+/// exp::run_param_space, runs it on the campaign engine
+/// (exp::run_campaigns_streaming), and returns a cli::Report.
+/// scaa_campaign's subcommands and the tests both call these, so the CLI
+/// binary itself is a thin dispatch shell.
 
 #include <cstdint>
 #include <iosfwd>

@@ -28,7 +28,7 @@ namespace scaa::exp {
 
 /// Worlds stepped in lockstep per arena batch: enough to amortize the
 /// project_many sweep without inflating per-worker memory. Also the
-/// streaming runner's task size: each of its pool tasks is one batch.
+/// campaign engine's task size: each of its pool tasks is one batch.
 inline constexpr std::size_t kBatchWorlds = 8;
 
 /// A reusable set of resident Worlds. Not thread-safe; each pool worker
@@ -55,10 +55,9 @@ class WorldArena {
 
 /// A free list of arenas shared by the thread-pool workers. The pool has
 /// no worker-identity API, so every task checks an arena out for as long
-/// as it simulates (one kBatchWorlds batch in the streaming runner, a
-/// couple of batches or a chunk in the materializing one): with at most
-/// `threads` tasks in flight, at most `threads` arenas ever exist, and
-/// each is reused across the whole campaign — across every grid of a
+/// as it simulates (one kBatchWorlds batch per campaign-engine task): with
+/// at most `threads` tasks in flight, at most `threads` arenas ever exist,
+/// and each is reused across the whole campaign — across every grid of a
 /// multi-grid run too.
 class ArenaPool {
  public:

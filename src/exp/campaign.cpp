@@ -77,6 +77,8 @@ sim::WorldConfig world_config_for(const CampaignItem& item) {
   cfg.attack.type = item.type;
   cfg.attack.strategic_values = item.strategic_values;
   cfg.fault_plan = item.fault_plan;
+  cfg.attack.strategy_params.forced_start = item.forced_start;
+  cfg.attack.strategy_params.forced_duration = item.forced_duration;
   return cfg;
 }
 
@@ -86,124 +88,6 @@ sim::WorldConfig world_config_for(const CampaignItem& item,
   cfg.road = assets.road;
   cfg.db = assets.db;
   return cfg;
-}
-
-namespace {
-
-/// Captures the first checkpoint-commit failure from a worker thread so the
-/// runner can abort outstanding work and rethrow once the pool drains
-/// (letting an exception escape a pool task would terminate the process).
-struct CommitErrors {
-  util::Mutex mutex;
-  std::string first SCAA_GUARDED_BY(mutex);
-  std::atomic<bool> failed{false};
-
-  void capture(const std::exception& e) SCAA_EXCLUDES(mutex) {
-    const util::MutexLock lock(mutex);
-    if (first.empty()) first = e.what();
-    failed.store(true, std::memory_order_release);
-  }
-  void rethrow_if_failed() SCAA_EXCLUDES(mutex) {
-    if (!failed.load(std::memory_order_acquire)) return;
-    // The pool has drained by the time this runs, but take the lock anyway:
-    // `first` is guarded, and an uncontended lock costs nothing here.
-    const util::MutexLock lock(mutex);
-    throw CheckpointError(first);
-  }
-};
-
-/// One streaming job's progress bookkeeping, shared by the workers that
-/// finish its chunks: the cumulative completed-simulation count and the
-/// user callback invocation are both serialized by one mutex, so the job's
-/// callbacks observe monotonically non-decreasing counts.
-struct ProgressCounter {
-  util::Mutex mutex;
-  std::size_t completed SCAA_GUARDED_BY(mutex) = 0;
-
-  void start_at(std::size_t restored) SCAA_EXCLUDES(mutex) {
-    const util::MutexLock lock(mutex);
-    completed = restored;
-  }
-  void advance(std::size_t delta, std::size_t total,
-               const CampaignProgressFn& progress) SCAA_EXCLUDES(mutex) {
-    const util::MutexLock lock(mutex);
-    completed += delta;
-    progress(CampaignProgress{completed, total});
-  }
-};
-
-/// Task granularity for the unchunked runner path: a couple of arena
-/// batches per task, small enough to keep every worker busy on modest
-/// grids, large enough that each task amortizes its arena checkout.
-constexpr std::size_t kArenaTask = 2 * kBatchWorlds;
-
-}  // namespace
-
-std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
-                                         const CampaignConfig& config,
-                                         ResultsCheckpoint* checkpoint) {
-  std::vector<CampaignResult> results(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) results[i].item = items[i];
-  const WorldAssets assets = WorldAssets::make_default();
-
-  // Declared before the pools so leased arenas outlive every task.
-  ArenaPool arenas;
-
-  if (checkpoint == nullptr) {
-    // Small tasks (not checkpoint chunks): this path materializes
-    // results[i] by index, so no reduction order is at stake, and fine
-    // granularity keeps every worker busy even on small grids.
-    ThreadPool pool(config.threads);
-    for (std::size_t begin = 0; begin < items.size(); begin += kArenaTask) {
-      const std::size_t end = std::min(items.size(), begin + kArenaTask);
-      pool.submit([&items, &results, &assets, &arenas, begin, end] {
-        ArenaPool::Lease lease(arenas);
-        std::array<sim::SimulationSummary, kArenaTask> summaries;
-        lease->run_items({items.data() + begin, end - begin}, assets,
-                         {summaries.data(), end - begin});
-        for (std::size_t i = begin; i < end; ++i)
-          results[i].summary = summaries[i - begin];
-      });
-    }
-    pool.wait_idle();
-    return results;
-  }
-
-  // Checkpointed: chunk-sized tasks, because the chunk is the commit unit.
-  // Results are still materialized by index, so granularity cannot change
-  // the outcome — only how work restores and commits.
-  checkpoint->restore_into(results);
-  const std::size_t n_chunks =
-      (items.size() + kCampaignChunk - 1) / kCampaignChunk;
-  CommitErrors errors;
-  {
-    ThreadPool pool(config.threads);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      if (checkpoint->chunk_complete(c)) continue;
-      pool.submit([&items, &results, &assets, &arenas, checkpoint, &errors,
-                   c] {
-        if (errors.failed.load(std::memory_order_acquire)) return;
-        const std::size_t begin = c * kCampaignChunk;
-        const std::size_t end = std::min(items.size(), begin + kCampaignChunk);
-        {
-          ArenaPool::Lease lease(arenas);
-          std::array<sim::SimulationSummary, kCampaignChunk> summaries;
-          lease->run_items({items.data() + begin, end - begin}, assets,
-                           {summaries.data(), end - begin});
-          for (std::size_t i = begin; i < end; ++i)
-            results[i].summary = summaries[i - begin];
-        }
-        try {
-          checkpoint->commit(c, results.data() + begin, end - begin);
-        } catch (const std::exception& e) {
-          errors.capture(e);
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  errors.rethrow_if_failed();
-  return results;
 }
 
 double Aggregate::hazard_fraction() const noexcept {
@@ -301,6 +185,48 @@ Aggregate aggregate(const std::vector<CampaignResult>& results) {
 
 namespace {
 
+/// Captures the first checkpoint-commit failure from a worker thread so the
+/// runner can abort outstanding work and rethrow once the pool drains
+/// (letting an exception escape a pool task would terminate the process).
+struct CommitErrors {
+  util::Mutex mutex;
+  std::string first SCAA_GUARDED_BY(mutex);
+  std::atomic<bool> failed{false};
+
+  void capture(const std::exception& e) SCAA_EXCLUDES(mutex) {
+    const util::MutexLock lock(mutex);
+    if (first.empty()) first = e.what();
+    failed.store(true, std::memory_order_release);
+  }
+  void rethrow_if_failed() SCAA_EXCLUDES(mutex) {
+    if (!failed.load(std::memory_order_acquire)) return;
+    // The pool has drained by the time this runs, but take the lock anyway:
+    // `first` is guarded, and an uncontended lock costs nothing here.
+    const util::MutexLock lock(mutex);
+    throw CheckpointError(first);
+  }
+};
+
+/// One streaming job's progress bookkeeping, shared by the workers that
+/// finish its chunks: the cumulative completed-simulation count and the
+/// user callback invocation are both serialized by one mutex, so the job's
+/// callbacks observe monotonically non-decreasing counts.
+struct ProgressCounter {
+  util::Mutex mutex;
+  std::size_t completed SCAA_GUARDED_BY(mutex) = 0;
+
+  void start_at(std::size_t restored) SCAA_EXCLUDES(mutex) {
+    const util::MutexLock lock(mutex);
+    completed = restored;
+  }
+  void advance(std::size_t delta, std::size_t total,
+               const CampaignProgressFn& progress) SCAA_EXCLUDES(mutex) {
+    const util::MutexLock lock(mutex);
+    completed += delta;
+    progress(CampaignProgress{completed, total});
+  }
+};
+
 /// Items in chunk @p chunk of an @p n_items grid (the last may be short).
 std::size_t chunk_size(std::size_t n_items, std::size_t chunk) {
   return std::min(n_items, (chunk + 1) * kCampaignChunk) -
@@ -378,6 +304,15 @@ std::vector<Aggregate> run_campaigns_streaming(
   std::vector<std::size_t> tasks_per_chunk;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const CampaignJob& job = jobs[j];
+    if (!job.outcomes.empty()) {
+      if (job.outcomes.size() != job.items.size())
+        throw std::invalid_argument(
+            "run_campaigns_streaming: outcomes span is not grid-sized");
+      if (job.checkpoint != nullptr && !job.checkpoint->keeps_summaries())
+        throw CheckpointError(
+            "run_campaigns_streaming: a job that keeps outcomes needs a "
+            "checkpoint that keeps summaries");
+    }
     JobRun& run = runs[j];
     const std::size_t n_chunks =
         (job.items.size() + kCampaignChunk - 1) / kCampaignChunk;
@@ -394,6 +329,9 @@ std::vector<Aggregate> run_campaigns_streaming(
       run.range_items += n;
       if (job.checkpoint != nullptr && job.checkpoint->chunk_complete(c)) {
         run.partials[c - run.range_begin].acc = job.checkpoint->restored(c);
+        if (!job.outcomes.empty())
+          std::ranges::copy(job.checkpoint->restored_summaries(c),
+                            job.outcomes.subspan(c * kCampaignChunk).begin());
         restored += n;
       } else {
         work.push_back({j, c});
@@ -431,18 +369,22 @@ std::vector<Aggregate> run_campaigns_streaming(
     JobRun& run = runs[cw.job];
     AggregateAccumulator& acc = run.partials[cw.chunk - run.range_begin].acc;
     const std::size_t n = chunk_size(job.items.size(), cw.chunk);
-    for (std::size_t i = 0; i < n; ++i) acc.add((*slots)[i]);
-    slots.reset();
+    const std::span<const sim::SimulationSummary> folded(slots->data(), n);
+    for (const sim::SimulationSummary& s : folded) acc.add(s);
+    if (!job.outcomes.empty())
+      std::ranges::copy(folded,
+                        job.outcomes.subspan(cw.chunk * kCampaignChunk).begin());
     // Commit before reporting progress: a chunk only ever counts as done
     // once it is durable.
     if (job.checkpoint != nullptr) {
       try {
-        job.checkpoint->commit(cw.chunk, acc);
+        job.checkpoint->commit(cw.chunk, acc, folded);
       } catch (const std::exception& e) {
         errors.capture(e);
         return;
       }
     }
+    slots.reset();
     if (job.progress) run.counter.advance(n, run.range_items, job.progress);
   };
   {
@@ -489,6 +431,22 @@ Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
   job.checkpoint = checkpoint;
   if (chunks != nullptr) job.chunks = *chunks;
   return run_campaigns_streaming({&job, 1}, config).front();
+}
+
+std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
+                                         const CampaignConfig& config,
+                                         CampaignCheckpoint* checkpoint) {
+  std::vector<sim::SimulationSummary> outcomes(items.size());
+  CampaignJob job;
+  job.items = items;
+  job.checkpoint = checkpoint;
+  job.outcomes = outcomes;
+  run_campaigns_streaming({&job, 1}, config);
+  std::vector<CampaignResult> results;
+  results.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    results.push_back({items[i], outcomes[i]});
+  return results;
 }
 
 }  // namespace scaa::exp

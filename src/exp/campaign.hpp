@@ -35,6 +35,10 @@ struct CampaignItem {
   /// grids). Part of the grid identity: folded into grid_fingerprint so
   /// resume/merge reject a checkpoint written under a different plan.
   std::shared_ptr<const fault::FaultPlan> fault_plan;
+  /// Forced attack window (Fig. 8's fixed-window sweep); negative = the
+  /// strategy picks its own. Part of the grid identity only when set.
+  double forced_start = -1.0;     ///< [s]
+  double forced_duration = -1.0;  ///< [s]
 };
 
 /// Item + outcome.
@@ -83,17 +87,16 @@ sim::WorldConfig world_config_for(const CampaignItem& item);
 sim::WorldConfig world_config_for(const CampaignItem& item,
                                   const WorldAssets& assets);
 
-/// Items per chunk: the reduction granularity of the streaming aggregator,
-/// the commit granularity of the checkpoint layer, and the unit sharding
-/// splits grids on. Fixed, so streaming results are bit-identical to the
-/// vector-of-results path at any thread count, and a resumed campaign
-/// restores whole chunks. Pool tasks are smaller (kBatchWorlds items, see
-/// run_campaigns_streaming); a chunk is folded once all of its tasks are
-/// done.
+/// Items per chunk: the reduction granularity of the campaign engine, the
+/// commit granularity of the checkpoint layer, and the unit sharding splits
+/// grids on. Fixed, so the engine's aggregates are bit-identical to
+/// aggregate() over the same outcomes at any thread count, and a resumed
+/// campaign restores whole chunks. Pool tasks are smaller (kBatchWorlds
+/// items, see run_campaigns_streaming); a chunk is folded once all of its
+/// tasks are done.
 inline constexpr std::size_t kCampaignChunk = 64;
 
-class CampaignCheckpoint;  // exp/checkpoint.hpp: streaming-aggregate mode
-class ResultsCheckpoint;   // exp/checkpoint.hpp: per-item results mode
+class CampaignCheckpoint;  // exp/checkpoint.hpp
 
 /// Half-open range of kCampaignChunk-sized chunks [begin_chunk, end_chunk)
 /// in a grid's global chunk index space. The unit the sharded coordinator
@@ -110,15 +113,6 @@ struct ChunkRange {
     return chunk >= begin_chunk && chunk < end_chunk;
   }
 };
-
-/// Run every item; results are returned in item order (deterministic).
-/// With a @p checkpoint (may be null), work is submitted in kCampaignChunk
-/// chunks: chunks the checkpoint already holds are restored instead of
-/// recomputed, and every freshly finished chunk is durably committed, so a
-/// killed run resumes where it left off with bit-identical results.
-std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
-                                         const CampaignConfig& config,
-                                         ResultsCheckpoint* checkpoint = nullptr);
 
 /// Aggregate counters over a set of results (one Table IV row).
 struct Aggregate {
@@ -205,11 +199,16 @@ struct CampaignJob {
   CampaignCheckpoint* checkpoint = nullptr;
   /// The chunks this job owns (nullopt = the whole grid).
   std::optional<ChunkRange> chunks;
+  /// Per-item outcomes (empty = aggregate only): grid-sized, and slot i
+  /// receives item i's summary once its chunk is folded or restored. A
+  /// checkpoint must then keep summaries (CheckpointMode::kSummaries).
+  std::span<sim::SimulationSummary> outcomes;
 };
 
-/// Run every job's items WITHOUT materializing per-item results, all
-/// through one ThreadPool, one ArenaPool and one WorldAssets, and return
-/// one Aggregate per job, in job order.
+/// Run every job's items through one ThreadPool, one ArenaPool and one
+/// WorldAssets, and return one Aggregate per job, in job order. This is the
+/// campaign engine: the two one-grid wrappers below and every paper
+/// artifact run through it.
 ///
 /// Scheduling: tasks of kBatchWorlds items are queued in job order, then
 /// chunk order, so no grid ends in a barrier that idles workers and small
@@ -219,12 +218,12 @@ struct CampaignJob {
 /// it, and only then reports progress. Each job's chunk accumulators are
 /// merged in chunk order at the end. Both orders are the ones
 /// aggregate() uses, so every returned Aggregate is bit-identical to
-/// aggregate(run_campaign(job.items)) at any thread count.
+/// aggregate() over the job's outcomes, at any thread count.
 ///
-/// Memory: per-item summaries live only while their chunk is in flight.
-/// The queue is FIFO, so at most threads + 1 chunks are in flight at once;
-/// besides those, the run holds one cache-line-padded accumulator per
-/// chunk.
+/// Memory: per-item summaries live only while their chunk is in flight
+/// (unless the job keeps outcomes). The queue is FIFO, so at most
+/// threads + 1 chunks are in flight at once; besides those, the run holds
+/// one cache-line-padded accumulator per chunk.
 ///
 /// With a job's checkpoint, its chunks already in the file are restored
 /// (never recomputed) and counted into the job's first progress call, and
@@ -233,7 +232,9 @@ struct CampaignJob {
 /// the same chunk order, so a run that is killed and resumed any number of
 /// times returns bit-identical aggregates. A commit failure (e.g. disk
 /// full) in any job aborts the outstanding work of every job and is
-/// rethrown as CheckpointError after the pool drains.
+/// rethrown as CheckpointError after the pool drains. A job that keeps
+/// outcomes under a checkpoint that does not keep summaries is rejected
+/// with CheckpointError before anything runs.
 ///
 /// With a job's chunk range, only the chunks in [begin_chunk, end_chunk)
 /// are restored, run, folded and counted (an oversized range is clamped):
@@ -252,5 +253,12 @@ Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
                                  const CampaignProgressFn& progress = {},
                                  CampaignCheckpoint* checkpoint = nullptr,
                                  const ChunkRange* chunks = nullptr);
+
+/// One grid through run_campaigns_streaming, keeping every item's outcome:
+/// results come back in item order. @p checkpoint (may be null) must keep
+/// summaries; its chunks are restored, never recomputed.
+std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
+                                         const CampaignConfig& config,
+                                         CampaignCheckpoint* checkpoint = nullptr);
 
 }  // namespace scaa::exp

@@ -547,6 +547,31 @@ ChunkParser agg_record_parser(CheckpointCore* core,
   };
 }
 
+/// The results-mode chunk-record parser: decodes one record into the
+/// chunk's slots of the grid-sized @p summaries.
+ChunkParser summaries_record_parser(
+    CheckpointCore* core, std::vector<sim::SimulationSummary>* summaries) {
+  return [summaries, core](std::size_t chunk, std::size_t expected_items,
+                           const std::vector<std::string_view>& t) {
+    std::string_view v;
+    std::uint64_t count = 0;
+    if (t.size() != 2 || !key_value(t[0], "n", v) || !parse_dec_u64(v, count))
+      core->corrupt("malformed results record for chunk " +
+                    std::to_string(chunk));
+    const auto encoded = split(t[1], ';');
+    if (count != expected_items || encoded.size() != expected_items)
+      core->corrupt("chunk " + std::to_string(chunk) + " holds " +
+                    std::to_string(encoded.size()) + " results, expected " +
+                    std::to_string(expected_items));
+    const std::size_t begin = chunk * kCampaignChunk;
+    for (std::size_t i = 0; i < encoded.size(); ++i) {
+      if (!decode_summary(encoded[i], (*summaries)[begin + i]))
+        core->corrupt("malformed summary " + std::to_string(i) +
+                      " in chunk " + std::to_string(chunk));
+    }
+  };
+}
+
 }  // namespace
 
 std::uint64_t grid_fingerprint(const std::vector<CampaignItem>& items) {
@@ -569,34 +594,51 @@ std::uint64_t grid_fingerprint(const std::vector<CampaignItem>& items) {
     const bool has_plan = item.fault_plan && !item.fault_plan->empty();
     hash.update(static_cast<std::uint64_t>(has_plan));
     if (has_plan) hash.update(item.fault_plan->fingerprint());
+    // Likewise a forced attack window — hashed only when set, so every grid
+    // without one keeps its fingerprint and slice-file name.
+    if (item.forced_start >= 0.0 || item.forced_duration >= 0.0) {
+      hash.update(std::string_view("forced-window"));
+      hash.update(double_bits(item.forced_start));
+      hash.update(double_bits(item.forced_duration));
+    }
   }
   return hash.digest();
 }
 
-// --- CampaignCheckpoint (mode=agg) ----------------------------------------
+// --- CampaignCheckpoint (mode=agg | mode=results) -----------------------
 
 struct CampaignCheckpoint::Impl {
   CheckpointCore core;
-  std::vector<AggregateAccumulatorRecord> records;  // valid iff complete
+  bool keeps_summaries = false;
+  std::vector<AggregateAccumulatorRecord> records;  // agg: valid iff complete
+  std::vector<sim::SimulationSummary> summaries;    // results: grid-sized
 };
 
 CampaignCheckpoint::CampaignCheckpoint(std::string path,
                                        const std::vector<CampaignItem>& items,
-                                       bool resume)
+                                       bool resume, CheckpointMode mode)
     : impl_(std::make_unique<Impl>()) {
   CheckpointCore& core = impl_->core;
+  impl_->keeps_summaries = mode == CheckpointMode::kSummaries;
   core.path = std::move(path);
-  core.mode = "agg";
+  core.mode = impl_->keeps_summaries ? "results" : "agg";
   core.fingerprint = grid_fingerprint(items);
   core.n_items = items.size();
   core.n_chunks = (items.size() + kCampaignChunk - 1) / kCampaignChunk;
-  impl_->records.resize(core.n_chunks);
-
-  core.open(resume, agg_record_parser(&core, &impl_->records));
+  if (impl_->keeps_summaries) {
+    impl_->summaries.resize(core.n_items);
+    core.open(resume, summaries_record_parser(&core, &impl_->summaries));
+  } else {
+    impl_->records.resize(core.n_chunks);
+    core.open(resume, agg_record_parser(&core, &impl_->records));
+  }
 }
 
 CampaignCheckpoint::~CampaignCheckpoint() = default;
 
+bool CampaignCheckpoint::keeps_summaries() const noexcept {
+  return impl_->keeps_summaries;
+}
 std::size_t CampaignCheckpoint::chunk_count() const noexcept {
   return impl_->core.n_chunks;
 }
@@ -608,28 +650,56 @@ std::size_t CampaignCheckpoint::completed_items() const noexcept {
 }
 
 bool CampaignCheckpoint::chunk_complete(std::size_t chunk) const {
-  return impl_->core.is_complete(chunk) && chunk < impl_->records.size();
+  return impl_->core.is_complete(chunk);
 }
 
 AggregateAccumulator CampaignCheckpoint::restored(std::size_t chunk) const {
   if (!chunk_complete(chunk))
     fail(impl_->core.path,
          "restored(): chunk " + std::to_string(chunk) + " is not complete");
-  return AggregateAccumulator::from_record(impl_->records[chunk]);
+  if (!impl_->keeps_summaries)
+    return AggregateAccumulator::from_record(impl_->records[chunk]);
+  // Fold in item order, as the engine folds a freshly computed chunk.
+  AggregateAccumulator acc;
+  for (const sim::SimulationSummary& s : restored_summaries(chunk)) acc.add(s);
+  return acc;
 }
 
-void CampaignCheckpoint::commit(std::size_t chunk,
-                                const AggregateAccumulator& acc) {
-  const AggregateAccumulatorRecord r = acc.to_record();
+std::span<const sim::SimulationSummary> CampaignCheckpoint::restored_summaries(
+    std::size_t chunk) const {
+  if (!impl_->keeps_summaries)
+    fail(impl_->core.path, "restored_summaries(): mode=agg keeps no summaries");
+  if (!chunk_complete(chunk))
+    fail(impl_->core.path, "restored_summaries(): chunk " +
+                               std::to_string(chunk) + " is not complete");
+  return std::span<const sim::SimulationSummary>(impl_->summaries)
+      .subspan(chunk * kCampaignChunk, impl_->core.chunk_items(chunk));
+}
+
+void CampaignCheckpoint::commit(
+    std::size_t chunk, const AggregateAccumulator& acc,
+    std::span<const sim::SimulationSummary> summaries) {
   std::string payload = chunk_prefix(chunk);
-  payload += "sims=" + std::to_string(r.simulations);
-  payload += " alerts=" + std::to_string(r.sims_with_alerts);
-  payload += " hazards=" + std::to_string(r.sims_with_hazards);
-  payload += " accidents=" + std::to_string(r.sims_with_accidents);
-  payload += " noalert=" + std::to_string(r.hazards_without_alerts);
-  payload += " fcw=" + std::to_string(r.fcw_activations);
-  payload += " inv=" + encode_rs(r.invasion_rate);
-  payload += " tth=" + encode_rs(r.tth);
+  if (impl_->keeps_summaries) {
+    if (summaries.size() != impl_->core.chunk_items(chunk))
+      fail(impl_->core.path, "commit: wrong summary count for chunk " +
+                                 std::to_string(chunk));
+    payload += "n=" + std::to_string(summaries.size()) + " ";
+    for (std::size_t i = 0; i < summaries.size(); ++i) {
+      if (i > 0) payload += ';';
+      payload += encode_summary(summaries[i]);
+    }
+  } else {
+    const AggregateAccumulatorRecord r = acc.to_record();
+    payload += "sims=" + std::to_string(r.simulations);
+    payload += " alerts=" + std::to_string(r.sims_with_alerts);
+    payload += " hazards=" + std::to_string(r.sims_with_hazards);
+    payload += " accidents=" + std::to_string(r.sims_with_accidents);
+    payload += " noalert=" + std::to_string(r.hazards_without_alerts);
+    payload += " fcw=" + std::to_string(r.fcw_activations);
+    payload += " inv=" + encode_rs(r.invasion_rate);
+    payload += " tth=" + encode_rs(r.tth);
+  }
   impl_->core.commit_payload(chunk, payload);
 }
 
@@ -679,95 +749,6 @@ const AggregateAccumulatorRecord& CampaignCheckpointReader::record(
     fail(impl_->core.path,
          "record(): chunk " + std::to_string(chunk) + " is not in this file");
   return impl_->records[chunk];
-}
-
-// --- ResultsCheckpoint (mode=results) -------------------------------------
-
-struct ResultsCheckpoint::Impl {
-  CheckpointCore core;
-  std::vector<sim::SimulationSummary> summaries;  // grid-sized
-};
-
-ResultsCheckpoint::ResultsCheckpoint(std::string path,
-                                     const std::vector<CampaignItem>& items,
-                                     bool resume)
-    : impl_(std::make_unique<Impl>()) {
-  CheckpointCore& core = impl_->core;
-  core.path = std::move(path);
-  core.mode = "results";
-  core.fingerprint = grid_fingerprint(items);
-  core.n_items = items.size();
-  core.n_chunks = (items.size() + kCampaignChunk - 1) / kCampaignChunk;
-  impl_->summaries.resize(core.n_items);
-
-  auto* summaries = &impl_->summaries;
-  auto* corep = &core;
-  core.open(resume, [summaries, corep](std::size_t chunk,
-                                       std::size_t expected_items,
-                                       const std::vector<std::string_view>& t) {
-    std::string_view v;
-    std::uint64_t count = 0;
-    if (t.size() != 2 || !key_value(t[0], "n", v) || !parse_dec_u64(v, count))
-      corep->corrupt("malformed results record for chunk " +
-                     std::to_string(chunk));
-    const auto encoded = split(t[1], ';');
-    if (count != expected_items || encoded.size() != expected_items)
-      corep->corrupt("chunk " + std::to_string(chunk) + " holds " +
-                     std::to_string(encoded.size()) + " results, expected " +
-                     std::to_string(expected_items));
-    const std::size_t begin = chunk * kCampaignChunk;
-    for (std::size_t i = 0; i < encoded.size(); ++i) {
-      if (!decode_summary(encoded[i], (*summaries)[begin + i]))
-        corep->corrupt("malformed summary " + std::to_string(i) +
-                       " in chunk " + std::to_string(chunk));
-    }
-  });
-}
-
-ResultsCheckpoint::~ResultsCheckpoint() = default;
-
-std::size_t ResultsCheckpoint::chunk_count() const noexcept {
-  return impl_->core.n_chunks;
-}
-std::size_t ResultsCheckpoint::completed_chunks() const noexcept {
-  return impl_->core.restored_chunk_count();
-}
-std::size_t ResultsCheckpoint::completed_items() const noexcept {
-  return impl_->core.restored_item_count();
-}
-
-bool ResultsCheckpoint::chunk_complete(std::size_t chunk) const {
-  return impl_->core.is_complete(chunk);
-}
-
-void ResultsCheckpoint::restore_into(
-    std::vector<CampaignResult>& results) const {
-  const CheckpointCore& core = impl_->core;
-  if (results.size() != core.n_items)
-    fail(core.path, "restore_into(): result vector size " +
-                        std::to_string(results.size()) + " != grid size " +
-                        std::to_string(core.n_items));
-  for (std::size_t c = 0; c < core.n_chunks; ++c) {
-    if (!core.is_complete(c)) continue;
-    const std::size_t begin = c * kCampaignChunk;
-    const std::size_t end = std::min(core.n_items, begin + kCampaignChunk);
-    for (std::size_t i = begin; i < end; ++i)
-      results[i].summary = impl_->summaries[i];
-  }
-}
-
-void ResultsCheckpoint::commit(std::size_t chunk, const CampaignResult* results,
-                               std::size_t count) {
-  if (count != impl_->core.chunk_items(chunk))
-    fail(impl_->core.path, "commit: wrong result count for chunk " +
-                               std::to_string(chunk));
-  std::string payload = chunk_prefix(chunk);
-  payload += "n=" + std::to_string(count) + " ";
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i > 0) payload += ';';
-    payload += encode_summary(results[i].summary);
-  }
-  impl_->core.commit_payload(chunk, payload);
 }
 
 }  // namespace scaa::exp

@@ -6,8 +6,8 @@
 /// An hour-long paper-scale campaign (Table IV: 20,160 simulations) that
 /// dies at 90% used to lose everything. This layer persists each completed
 /// kCampaignChunk-sized chunk to an append-only file so a killed run can be
-/// resumed, and the resumed run's final Aggregate (or result vector) is
-/// **bit-identical** to an uninterrupted run — including the Welford
+/// resumed, and the resumed run's final Aggregate (and per-item outcomes,
+/// when kept) are **bit-identical** to an uninterrupted run — including the Welford
 /// floating-point moments — at any thread count.
 ///
 /// ## File format (version 2)
@@ -35,7 +35,8 @@
 ///
 /// The header fingerprint is FNV-1a over the format version, kCampaignChunk,
 /// the item count, and every field of every CampaignItem (doubles as bit
-/// patterns; an attached FaultPlan contributes its own digest). A
+/// patterns; an attached FaultPlan contributes its own digest, a forced
+/// attack window its two bit patterns, each only when present). A
 /// checkpoint therefore only ever resumes the *exact* grid it was started
 /// for: a different strategy, seed, repetition count, grid order, chunk
 /// size, fault plan, or file-format revision all change the fingerprint
@@ -59,6 +60,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -83,26 +85,43 @@ inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 /// Fingerprint of a campaign grid: FNV-1a over the format version, chunk
 /// size, item count, and every CampaignItem field (doubles as bit
 /// patterns). Two grids fingerprint equal iff a checkpoint of one is valid
-/// for the other.
+/// for the other. Optional fields (fault plan, forced attack window) are
+/// hashed only when set, so adding one never changes the fingerprint of a
+/// grid that does not use it.
 std::uint64_t grid_fingerprint(const std::vector<CampaignItem>& items);
 
-/// Checkpoint for run_campaign_streaming: persists one
-/// AggregateAccumulatorRecord per completed chunk.
+/// What a CampaignCheckpoint persists per chunk.
+enum class CheckpointMode {
+  kAggregate,  ///< mode=agg: the chunk's AggregateAccumulatorRecord
+  kSummaries,  ///< mode=results: every SimulationSummary of the chunk
+};
+
+/// Checkpoint for one job of the campaign engine (run_campaigns_streaming).
+/// In kAggregate mode it persists one AggregateAccumulatorRecord per
+/// completed chunk. In kSummaries mode (jobs that keep per-item outcomes,
+/// e.g. Table V's driver-on/off pairing) it persists the chunk's summaries
+/// and rebuilds the chunk's accumulator on restore by folding them in item
+/// order, exactly as the engine folded them. Opening a file written in the
+/// other mode raises CheckpointError.
 ///
 /// Construction with resume=false starts a fresh file and throws
 /// CheckpointError if @p path already holds data (refusing to silently
 /// clobber a previous run); resume=true loads and validates an existing
 /// file, or starts fresh when none exists — so crash-restart loops can
-/// always pass resume=true. commit() is thread-safe (the runners call it
+/// always pass resume=true. commit() is thread-safe (the engine calls it
 /// from worker threads).
 class CampaignCheckpoint {
  public:
   CampaignCheckpoint(std::string path, const std::vector<CampaignItem>& items,
-                     bool resume);
+                     bool resume,
+                     CheckpointMode mode = CheckpointMode::kAggregate);
   ~CampaignCheckpoint();
 
   CampaignCheckpoint(const CampaignCheckpoint&) = delete;
   CampaignCheckpoint& operator=(const CampaignCheckpoint&) = delete;
+
+  /// True in kSummaries mode.
+  bool keeps_summaries() const noexcept;
 
   /// Total chunks in the grid this checkpoint covers.
   std::size_t chunk_count() const noexcept;
@@ -119,10 +138,18 @@ class CampaignCheckpoint {
   /// The restored accumulator for a complete chunk (bit-exact).
   AggregateAccumulator restored(std::size_t chunk) const;
 
-  /// Durably append @p chunk's accumulator (single write + fsync).
-  /// Thread-safe. Throws CheckpointError on I/O failure or if the chunk is
-  /// already committed.
-  void commit(std::size_t chunk, const AggregateAccumulator& acc);
+  /// The restored summaries of a complete chunk, in item order (bit-exact).
+  /// Throws CheckpointError in kAggregate mode.
+  std::span<const sim::SimulationSummary> restored_summaries(
+      std::size_t chunk) const;
+
+  /// Durably append @p chunk's record (single write + fsync): @p acc in
+  /// kAggregate mode, @p summaries (the chunk's, in item order) in
+  /// kSummaries mode. Thread-safe. Throws CheckpointError on I/O failure,
+  /// if the chunk is already committed, or if @p summaries does not cover
+  /// the chunk in kSummaries mode.
+  void commit(std::size_t chunk, const AggregateAccumulator& acc,
+              std::span<const sim::SimulationSummary> summaries = {});
 
  private:
   struct Impl;
@@ -160,38 +187,6 @@ class CampaignCheckpointReader {
   /// The committed record for a complete chunk (bit-exact). Throws
   /// CheckpointError when the chunk is not in this file.
   const AggregateAccumulatorRecord& record(std::size_t chunk) const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Checkpoint for the materializing run_campaign (Table V needs per-item
-/// results for driver-on/off pairing): persists every SimulationSummary of
-/// a completed chunk. Same framing, fingerprint, and crash-tolerance rules
-/// as CampaignCheckpoint; records are bigger (one summary per item).
-class ResultsCheckpoint {
- public:
-  ResultsCheckpoint(std::string path, const std::vector<CampaignItem>& items,
-                    bool resume);
-  ~ResultsCheckpoint();
-
-  ResultsCheckpoint(const ResultsCheckpoint&) = delete;
-  ResultsCheckpoint& operator=(const ResultsCheckpoint&) = delete;
-
-  std::size_t chunk_count() const noexcept;
-  std::size_t completed_chunks() const noexcept;
-  std::size_t completed_items() const noexcept;
-  bool chunk_complete(std::size_t chunk) const;
-
-  /// Copy every restored summary into its slot of @p results (which must
-  /// already be grid-sized); untouched slots belong to incomplete chunks.
-  void restore_into(std::vector<CampaignResult>& results) const;
-
-  /// Durably append the @p count results of @p chunk (they must be that
-  /// chunk's slice of the grid-ordered result vector). Thread-safe.
-  void commit(std::size_t chunk, const CampaignResult* results,
-              std::size_t count);
 
  private:
   struct Impl;

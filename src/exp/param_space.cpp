@@ -1,6 +1,5 @@
 #include "exp/param_space.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 #include "util/csv.hpp"
@@ -8,54 +7,24 @@
 
 namespace scaa::exp {
 
-namespace {
-
-/// Run one simulation with an optional forced attack window; returns the
-/// realized (start, duration, hazardous) triple.
-ParamSpacePoint run_point(const ParamSpaceConfig& cfg,
-                          const WorldAssets& assets,
-                          attack::StrategyKind strategy, double forced_start,
-                          double forced_duration, std::uint64_t seed) {
-  CampaignItem item;
-  item.strategy = strategy;
-  item.type = cfg.type;
-  item.strategic_values = strategy == attack::StrategyKind::kContextAware;
-  item.driver_enabled = true;
-  item.scenario_id = cfg.scenario_id;
-  item.initial_gap = cfg.initial_gap;
-  item.seed = seed;
-
-  sim::WorldConfig wc = world_config_for(item, assets);
-  wc.attack.strategy_params.forced_start = forced_start;
-  wc.attack.strategy_params.forced_duration = forced_duration;
-
-  sim::World world(std::move(wc));
-  const sim::SimulationSummary s = world.run();
-
-  ParamSpacePoint point;
-  point.strategy = strategy;
-  point.start_time = s.attack_start >= 0.0
-                         ? s.attack_start
-                         : (forced_start >= 0.0 ? forced_start : -1.0);
-  point.duration =
-      s.attack_duration > 0.0 ? s.attack_duration : forced_duration;
-  point.hazardous = s.any_hazard;
-  return point;
-}
-
-}  // namespace
-
 std::vector<ParamSpacePoint> run_param_space(const ParamSpaceConfig& cfg) {
-  struct Job {
-    attack::StrategyKind strategy;
-    double start;
-    double duration;
-    std::uint64_t seed;
+  std::vector<CampaignItem> items;
+  std::uint64_t sm = cfg.base_seed;
+  const auto add = [&cfg, &items, &sm](attack::StrategyKind strategy,
+                                       double start, double duration) {
+    CampaignItem item;
+    item.strategy = strategy;
+    item.type = cfg.type;
+    item.strategic_values = strategy == attack::StrategyKind::kContextAware;
+    item.scenario_id = cfg.scenario_id;
+    item.initial_gap = cfg.initial_gap;
+    item.seed = util::splitmix64(sm);
+    item.forced_start = start;
+    item.forced_duration = duration;
+    items.push_back(item);
   };
-  std::vector<Job> jobs;
 
   // Background grid: deterministic Random-ST+DUR windows.
-  std::uint64_t sm = cfg.base_seed;
   for (int i = 0; i < cfg.grid_starts; ++i) {
     const double t = cfg.grid_starts > 1
                          ? static_cast<double>(i) / (cfg.grid_starts - 1)
@@ -65,41 +34,33 @@ std::vector<ParamSpacePoint> run_param_space(const ParamSpaceConfig& cfg) {
       const double u = cfg.grid_durations > 1
                            ? static_cast<double>(j) / (cfg.grid_durations - 1)
                            : 0.0;
-      const double dur =
-          cfg.min_duration + u * (cfg.max_duration - cfg.min_duration);
-      jobs.push_back({attack::StrategyKind::kRandomStDur, start, dur,
-                      util::splitmix64(sm)});
+      add(attack::StrategyKind::kRandomStDur, start,
+          cfg.min_duration + u * (cfg.max_duration - cfg.min_duration));
     }
   }
   // Overlays: Random-ST (fixed duration), Random-DUR and Context-Aware
   // use their own stochastic/contextual timing.
   for (int r = 0; r < cfg.overlay_runs; ++r) {
-    jobs.push_back({attack::StrategyKind::kRandomSt, -1.0, -1.0,
-                    util::splitmix64(sm)});
-    jobs.push_back({attack::StrategyKind::kRandomDur, -1.0, -1.0,
-                    util::splitmix64(sm)});
-    jobs.push_back({attack::StrategyKind::kContextAware, -1.0, -1.0,
-                    util::splitmix64(sm)});
+    add(attack::StrategyKind::kRandomSt, -1.0, -1.0);
+    add(attack::StrategyKind::kRandomDur, -1.0, -1.0);
+    add(attack::StrategyKind::kContextAware, -1.0, -1.0);
   }
 
-  std::vector<ParamSpacePoint> points(jobs.size());
-  const WorldAssets assets = WorldAssets::make_default();
-  ThreadPool pool(cfg.threads);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool.submit([&cfg, &assets, &jobs, &points, i] {
-      const Job& job = jobs[i];
-      points[i] = run_point(cfg, assets, job.strategy, job.start, job.duration,
-                            job.seed);
-    });
+  CampaignConfig cc;
+  cc.threads = cfg.threads;
+  std::vector<ParamSpacePoint> points;
+  for (const CampaignResult& r : run_campaign(items, cc)) {
+    const sim::SimulationSummary& s = r.summary;
+    ParamSpacePoint point;
+    point.strategy = r.item.strategy;
+    point.start_time =
+        s.attack_start >= 0.0 ? s.attack_start : r.item.forced_start;
+    point.duration =
+        s.attack_duration > 0.0 ? s.attack_duration : r.item.forced_duration;
+    point.hazardous = s.any_hazard;
+    // Drop overlay runs whose attack never activated (no point to plot).
+    if (point.start_time >= 0.0) points.push_back(point);
   }
-  pool.wait_idle();
-
-  // Drop overlay runs whose attack never activated (no point to plot).
-  points.erase(std::remove_if(points.begin(), points.end(),
-                              [](const ParamSpacePoint& p) {
-                                return p.start_time < 0.0;
-                              }),
-               points.end());
   return points;
 }
 

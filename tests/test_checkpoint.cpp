@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,6 +181,28 @@ TEST(Fingerprint, SensitiveToEveryGridParameter) {
   auto shorter = base;
   shorter.pop_back();
   EXPECT_NE(fp, exp::grid_fingerprint(shorter));
+
+  auto forced = base;
+  forced.front().forced_start = 12.0;
+  EXPECT_NE(fp, exp::grid_fingerprint(forced));
+  auto forced_duration = base;
+  forced_duration.front().forced_duration = 1.5;
+  EXPECT_NE(exp::grid_fingerprint(forced),
+            exp::grid_fingerprint(forced_duration));
+}
+
+TEST(Fingerprint, StableForExistingGrids) {
+  // Pinned values: a fingerprint names a grid's slice files and validates
+  // every checkpoint and shard slice written for it, so a new CampaignItem
+  // field must leave grids that do not use it where they were. Update these
+  // only together with kCheckpointFormatVersion.
+  const auto table5 = exp::make_grid(attack::StrategyKind::kContextAware, true,
+                                     false, grid_config(2, 2022));
+  ASSERT_EQ(table5.size(), 144u);
+  EXPECT_EQ(exp::grid_fingerprint(table5), 0x6d3aca367b026718ull);
+  const auto small = exp::make_grid(attack::StrategyKind::kRandomSt, false,
+                                    true, grid_config(1, 1));
+  EXPECT_EQ(exp::grid_fingerprint(small), 0xf25cfa0f0fef414aull);
 }
 
 // --- checkpoint file lifecycle ---------------------------------------------
@@ -268,6 +291,35 @@ TEST(CampaignCheckpoint, RejectsMismatchedFingerprint) {
   EXPECT_THROW(exp::CampaignCheckpoint(path, other, /*resume=*/true),
                exp::CheckpointError);
   std::remove(path.c_str());
+}
+
+TEST(CampaignCheckpoint, RejectsOtherRecordMode) {
+  // The header names the record mode: a summaries job must not restore
+  // aggregate records (it could not rebuild its outcomes), and an
+  // aggregate job must not read summary records as aggregates.
+  const auto grid = exp::make_grid(attack::StrategyKind::kNone, false, true,
+                                   grid_config(1, 1));
+  const std::string agg_path = temp_path("mode_agg");
+  const std::string results_path = temp_path("mode_results");
+  std::remove(agg_path.c_str());
+  std::remove(results_path.c_str());
+  { exp::CampaignCheckpoint agg(agg_path, grid, /*resume=*/false); }
+  {
+    exp::CampaignCheckpoint results(results_path, grid, /*resume=*/false,
+                                    exp::CheckpointMode::kSummaries);
+    EXPECT_TRUE(results.keeps_summaries());
+  }
+  EXPECT_THROW(exp::CampaignCheckpoint(agg_path, grid, /*resume=*/true,
+                                       exp::CheckpointMode::kSummaries),
+               exp::CheckpointError);
+  EXPECT_THROW(exp::CampaignCheckpoint(results_path, grid, /*resume=*/true),
+               exp::CheckpointError);
+  // Each mode still resumes its own file.
+  EXPECT_NO_THROW(exp::CampaignCheckpoint(agg_path, grid, /*resume=*/true));
+  EXPECT_NO_THROW(exp::CampaignCheckpoint(results_path, grid, /*resume=*/true,
+                                          exp::CheckpointMode::kSummaries));
+  std::remove(agg_path.c_str());
+  std::remove(results_path.c_str());
 }
 
 /// Two-full-chunk grid (128 items) so every committed chunk holds exactly
@@ -416,7 +468,8 @@ TEST(CheckpointResume, MaterializingKillAndResumeIsBitIdentical) {
   cc.threads = 4;
   const auto reference = exp::run_campaign(grid, cc);
   {
-    exp::ResultsCheckpoint ckpt(full_path, grid, /*resume=*/false);
+    exp::CampaignCheckpoint ckpt(full_path, grid, /*resume=*/false,
+                                 exp::CheckpointMode::kSummaries);
     exp::run_campaign(grid, cc, &ckpt);
   }
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -425,7 +478,8 @@ TEST(CheckpointResume, MaterializingKillAndResumeIsBitIdentical) {
     // Records land in completion order, so the surviving chunk can be any
     // of the three — what matters is that exactly one chunk is restored.
     truncate_to_chunks(full_path, partial_path, 1);
-    exp::ResultsCheckpoint resumed(partial_path, grid, /*resume=*/true);
+    exp::CampaignCheckpoint resumed(partial_path, grid, /*resume=*/true,
+                                    exp::CheckpointMode::kSummaries);
     EXPECT_EQ(resumed.completed_chunks(), 1u);
     EXPECT_GT(resumed.completed_items(), 0u);
     exp::CampaignConfig rcc = cc;
@@ -449,6 +503,155 @@ TEST(CheckpointResume, MaterializingKillAndResumeIsBitIdentical) {
     std::remove(partial_path.c_str());
   }
   std::remove(full_path.c_str());
+}
+
+/// Every field of a summary, doubles as bit patterns: equal vectors mean
+/// bit-identical summaries.
+std::vector<std::uint64_t> summary_bits(const sim::SimulationSummary& s) {
+  const auto d = [](double v) { return util::double_bits(v); };
+  std::vector<std::uint64_t> out = {
+      s.any_hazard, static_cast<std::uint64_t>(s.first_hazard),
+      d(s.first_hazard_time), s.hazard_h1, s.hazard_h2, s.hazard_h3,
+      d(s.hazard_h1_time), d(s.hazard_h2_time), d(s.hazard_h3_time),
+      s.any_accident, static_cast<std::uint64_t>(s.first_accident),
+      d(s.first_accident_time), s.accident_a1, s.accident_a2, s.accident_a3,
+      s.alert_events, s.steer_saturated_events, s.fcw_events,
+      s.alert_before_hazard, s.lane_invasions, d(s.lane_invasion_rate),
+      s.attack_activated, d(s.attack_start), d(s.attack_duration), d(s.tth),
+      s.frames_corrupted, s.driver_engaged, d(s.driver_engage_time),
+      d(s.driver_perception_time), d(s.sim_end_time), s.can_checksum_rejects,
+      s.panda_frames_blocked};
+  out.insert(out.end(), s.faults_fired.begin(), s.faults_fired.end());
+  out.insert(out.end(), s.faults_suppressed.begin(), s.faults_suppressed.end());
+  return out;
+}
+
+void expect_same_outcomes(const exp::TypeOutcome& a,
+                          const exp::TypeOutcome& b) {
+  expect_bit_identical(a.agg, b.agg);
+  EXPECT_EQ(a.prevented_hazards, b.prevented_hazards);
+  EXPECT_EQ(a.new_hazards, b.new_hazards);
+  EXPECT_EQ(a.prevented_accidents, b.prevented_accidents);
+  EXPECT_EQ(a.driver_preventions, b.driver_preventions);
+  EXPECT_EQ(a.nodriver_hazards, b.nodriver_hazards);
+  EXPECT_EQ(a.nodriver_accidents, b.nodriver_accidents);
+}
+
+/// Table V's four slices (fixed on/off, strategic on/off) run as one engine
+/// call, each keeping outcomes, with checkpoints[g] on job g (null = none).
+/// Returns the grids' outcomes; throws what the engine throws.
+std::vector<std::vector<sim::SimulationSummary>> run_table5_jobs(
+    const std::vector<std::vector<exp::CampaignItem>>& grids,
+    const std::vector<exp::CampaignCheckpoint*>& checkpoints,
+    std::size_t threads) {
+  std::vector<std::vector<sim::SimulationSummary>> outcomes;
+  std::vector<exp::CampaignJob> jobs;
+  for (const auto& grid : grids)
+    outcomes.emplace_back(grid.size());
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    exp::CampaignJob job;
+    job.items = grids[g];
+    job.checkpoint = checkpoints[g];
+    job.outcomes = outcomes[g];
+    jobs.push_back(std::move(job));
+  }
+  exp::CampaignConfig cc;
+  cc.threads = threads;
+  exp::run_campaigns_streaming(jobs, cc);
+  return outcomes;
+}
+
+std::vector<exp::CampaignResult> zip(const std::vector<exp::CampaignItem>& grid,
+                                     const std::vector<sim::SimulationSummary>&
+                                         outcomes) {
+  std::vector<exp::CampaignResult> results;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    results.push_back({grid[i], outcomes[i]});
+  return results;
+}
+
+// Table V's path: four summaries-mode jobs in one engine call. A commit
+// failure in one job aborts the whole call mid-run, leaving the other jobs'
+// checkpoints with whatever chunks were durable; the resumed call must pair
+// driver-on/off outcomes bit-identically to an uninterrupted one.
+TEST(CheckpointResume, Table5MultiGridResumeMatchesUninterrupted) {
+  const auto cc = grid_config(2, 2022);
+  std::vector<std::vector<exp::CampaignItem>> grids;
+  for (const bool strategic : {false, true})
+    for (const bool driver : {true, false})
+      grids.push_back(exp::make_grid(attack::StrategyKind::kContextAware,
+                                     strategic, driver, cc));
+  const auto reference =
+      run_table5_jobs(grids, {nullptr, nullptr, nullptr, nullptr}, 4);
+
+  std::vector<std::string> paths;
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    paths.push_back(temp_path("table5_multi_" + std::to_string(g)));
+    std::remove(paths.back().c_str());
+  }
+  const std::string short_path = temp_path("table5_multi_short");
+  std::remove(short_path.c_str());
+  {
+    std::vector<std::unique_ptr<exp::CampaignCheckpoint>> owned;
+    std::vector<exp::CampaignCheckpoint*> checkpoints;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      owned.push_back(std::make_unique<exp::CampaignCheckpoint>(
+          paths[g], grids[g], /*resume=*/false,
+          exp::CheckpointMode::kSummaries));
+      checkpoints.push_back(owned.back().get());
+    }
+    // Job 1 commits into a checkpoint sized for its first chunk only, so
+    // its second commit fails the way a full disk would.
+    const std::vector<exp::CampaignItem> first_chunk(
+        grids[1].begin(), grids[1].begin() + exp::kCampaignChunk);
+    exp::CampaignCheckpoint short_ckpt(short_path, first_chunk,
+                                       /*resume=*/false,
+                                       exp::CheckpointMode::kSummaries);
+    checkpoints[1] = &short_ckpt;
+    EXPECT_THROW(run_table5_jobs(grids, checkpoints, 4), exp::CheckpointError);
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // Resume from copies, so both thread counts start from the same state.
+    std::vector<std::unique_ptr<exp::CampaignCheckpoint>> owned;
+    std::vector<exp::CampaignCheckpoint*> checkpoints;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      const std::string copy = paths[g] + "_resume" + std::to_string(threads);
+      std::remove(copy.c_str());
+      if (g != 1) write_file(copy, read_file(paths[g]));
+      owned.push_back(std::make_unique<exp::CampaignCheckpoint>(
+          copy, grids[g], /*resume=*/true, exp::CheckpointMode::kSummaries));
+      checkpoints.push_back(owned.back().get());
+    }
+    EXPECT_EQ(owned[1]->completed_chunks(), 0u);
+    const auto resumed = run_table5_jobs(grids, checkpoints, threads);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      ASSERT_EQ(resumed[g].size(), reference[g].size());
+      for (std::size_t i = 0; i < resumed[g].size(); ++i)
+        ASSERT_EQ(summary_bits(resumed[g][i]), summary_bits(reference[g][i]))
+            << "grid " << g << " item " << i;
+    }
+    for (std::size_t half = 0; half < 2; ++half) {
+      const auto want = exp::pair_driver_outcomes(
+          zip(grids[2 * half], reference[2 * half]),
+          zip(grids[2 * half + 1], reference[2 * half + 1]));
+      const auto got = exp::pair_driver_outcomes(
+          zip(grids[2 * half], resumed[2 * half]),
+          zip(grids[2 * half + 1], resumed[2 * half + 1]));
+      ASSERT_EQ(got.size(), want.size());
+      for (const auto& [type, outcome] : want) {
+        SCOPED_TRACE(attack::to_string(type));
+        expect_same_outcomes(got.at(type), outcome);
+      }
+    }
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      owned[g].reset();
+      std::remove((paths[g] + "_resume" + std::to_string(threads)).c_str());
+    }
+  }
+  for (const std::string& path : paths) std::remove(path.c_str());
+  std::remove(short_path.c_str());
 }
 
 // Acceptance: a table4-scale streaming campaign (the paper's full 1,440-sim

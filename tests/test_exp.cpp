@@ -15,6 +15,7 @@
 #include "exp/checkpoint.hpp"
 #include "exp/param_space.hpp"
 #include "exp/tables.hpp"
+#include "util/rng.hpp"
 #include "util/serial.hpp"
 
 namespace {
@@ -449,6 +450,83 @@ TEST(ParamSpace, SmallSweepShapes) {
   exp::write_param_space_csv(points, out);
   EXPECT_NE(out.str().find("strategy,start_time,duration,hazardous"),
             std::string::npos);
+}
+
+/// The per-point runner the sweep used before it ran on the campaign
+/// engine, kept as the reference: one freshly constructed World per point,
+/// seeds drawn in the sweep's order.
+std::vector<exp::ParamSpacePoint> fresh_world_points(
+    const exp::ParamSpaceConfig& cfg) {
+  std::vector<exp::ParamSpacePoint> points;
+  std::uint64_t sm = cfg.base_seed;
+  const auto run_point = [&](attack::StrategyKind strategy, double start,
+                             double duration) {
+    exp::CampaignItem item;
+    item.strategy = strategy;
+    item.type = cfg.type;
+    item.strategic_values = strategy == attack::StrategyKind::kContextAware;
+    item.scenario_id = cfg.scenario_id;
+    item.initial_gap = cfg.initial_gap;
+    item.seed = util::splitmix64(sm);
+    sim::WorldConfig wc = exp::world_config_for(item);
+    wc.attack.strategy_params.forced_start = start;
+    wc.attack.strategy_params.forced_duration = duration;
+    sim::World world(std::move(wc));
+    const sim::SimulationSummary s = world.run();
+    exp::ParamSpacePoint point;
+    point.strategy = strategy;
+    point.start_time =
+        s.attack_start >= 0.0 ? s.attack_start : (start >= 0.0 ? start : -1.0);
+    point.duration = s.attack_duration > 0.0 ? s.attack_duration : duration;
+    point.hazardous = s.any_hazard;
+    if (point.start_time >= 0.0) points.push_back(point);
+  };
+  for (int i = 0; i < cfg.grid_starts; ++i) {
+    const double t = cfg.grid_starts > 1
+                         ? static_cast<double>(i) / (cfg.grid_starts - 1)
+                         : 0.0;
+    for (int j = 0; j < cfg.grid_durations; ++j) {
+      const double u = cfg.grid_durations > 1
+                           ? static_cast<double>(j) / (cfg.grid_durations - 1)
+                           : 0.0;
+      run_point(attack::StrategyKind::kRandomStDur,
+                cfg.min_start + t * (cfg.max_start - cfg.min_start),
+                cfg.min_duration + u * (cfg.max_duration - cfg.min_duration));
+    }
+  }
+  for (int r = 0; r < cfg.overlay_runs; ++r) {
+    run_point(attack::StrategyKind::kRandomSt, -1.0, -1.0);
+    run_point(attack::StrategyKind::kRandomDur, -1.0, -1.0);
+    run_point(attack::StrategyKind::kContextAware, -1.0, -1.0);
+  }
+  return points;
+}
+
+TEST(ParamSpace, EngineMatchesFreshWorldPerPoint) {
+  // The sweep runs on resident arena Worlds, reset per point with the
+  // point's forced window: every point must match a fresh World's.
+  exp::ParamSpaceConfig cfg;
+  cfg.grid_starts = 4;
+  cfg.grid_durations = 3;
+  cfg.overlay_runs = 4;
+  const auto reference = fresh_world_points(cfg);
+  ASSERT_GE(reference.size(), 12u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cfg.threads = threads;
+    const auto points = exp::run_param_space(cfg);
+    ASSERT_EQ(points.size(), reference.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(points[i].strategy, reference[i].strategy) << i;
+      EXPECT_EQ(util::double_bits(points[i].start_time),
+                util::double_bits(reference[i].start_time))
+          << i;
+      EXPECT_EQ(util::double_bits(points[i].duration),
+                util::double_bits(reference[i].duration))
+          << i;
+      EXPECT_EQ(points[i].hazardous, reference[i].hazardous) << i;
+    }
+  }
 }
 
 TEST(ParamSpace, CriticalTimeEstimate) {
