@@ -5,15 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <memory>
-#include <vector>
 
 #include "adas/kalman.hpp"
 #include "can/packer.hpp"
 #include "exp/campaign.hpp"
 #include "msg/bus.hpp"
 #include "sim/world.hpp"
-#include "sim/world_batch.hpp"
 
 using namespace scaa;
 
@@ -183,26 +180,6 @@ void BM_PolylineProjectHinted(benchmark::State& state) {
 }
 BENCHMARK(BM_PolylineProjectHinted);
 
-void BM_PolylineProjectMany(benchmark::State& state) {
-  const geom::Polyline& line = micro_road().reference();
-  std::array<double, 4> s{30.0, 80.0, 130.0, 180.0};
-  std::array<geom::Vec2, 4> points;
-  std::array<double, 4> hints{-1.0, -1.0, -1.0, -1.0};
-  std::array<geom::Polyline::Projection, 4> out;
-  for (auto _ : state) {
-    for (std::size_t l = 0; l < 4; ++l) {
-      s[l] += 0.3;
-      if (s[l] > line.length() - 10.0) s[l] = 30.0;
-      points[l] = line.position_at(s[l]) + geom::Vec2{0.1, 1.2};
-    }
-    line.project_many(points, hints, out);
-    for (std::size_t l = 0; l < 4; ++l) hints[l] = out[l].s;
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
-}
-BENCHMARK(BM_PolylineProjectMany);
-
 void BM_PolylineProjectFull(benchmark::State& state) {
   const geom::Polyline& line = micro_road().reference();
   const geom::Vec2 p = line.position_at(777.0) + geom::Vec2{0.3, -1.0};
@@ -235,7 +212,7 @@ void BM_WorldStep(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldStep);
 
-// --- World lifecycle: construct vs reset, and batched stepping --------------
+// --- World lifecycle: construct vs reset ------------------------------------
 
 exp::CampaignItem micro_item(std::uint64_t seed) {
   exp::CampaignItem item;
@@ -267,35 +244,6 @@ void BM_WorldReset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorldReset)->Unit(benchmark::kMicrosecond);
-
-void BM_BatchStep(benchmark::State& state) {
-  // One lockstep tick of K resident worlds (per-world cost = time/K): the
-  // fused project_many sweep amortizes across the batch.
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const exp::WorldAssets assets = exp::WorldAssets::make_default();
-  std::vector<std::unique_ptr<sim::World>> worlds;
-  sim::WorldBatch batch;
-  std::uint64_t seed = 1;
-  for (std::size_t i = 0; i < k; ++i) {
-    worlds.push_back(std::make_unique<sim::World>(
-        exp::world_config_for(micro_item(seed++), assets)));
-    batch.add(worlds.back().get());
-  }
-  for (auto _ : state) {
-    if (batch.step() == 0) {
-      state.PauseTiming();
-      batch.clear();
-      for (auto& world : worlds) {
-        world->reset(exp::world_config_for(micro_item(seed++), assets));
-        batch.add(world.get());
-      }
-      state.ResumeTiming();
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k));
-}
-BENCHMARK(BM_BatchStep)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_FullSimulation(benchmark::State& state) {
   std::uint64_t seed = 1;

@@ -1,15 +1,14 @@
 // Simulation hot-path microbenchmark: World construction cost with private
 // vs shared immutable assets (road + DBC), the Polyline::project geometry
-// kernel (hinted single, batched project_many, and full scan — each against
-// the pre-SoA scalar implementation kept below as the baseline), the
-// pub/sub bus publish path (zero-copy typed dispatch and the lazily
-// serialized tapped path, each against the pre-refactor
-// serialize-everything bus kept below as the baseline), World::step()
-// time, and full simulation wall-clock. Together with bench_codec this
-// quantifies the campaign-scale optimizations: thousands of Monte-Carlo
-// Worlds per table share one road/database, step allocation-free over a
-// vectorizable geometry kernel, and exchange messages without touching a
-// serializer.
+// kernel (hinted single and full scan — each against the pre-SoA scalar
+// implementation kept below as the baseline), the pub/sub bus publish path
+// (zero-copy typed dispatch and the lazily serialized tapped path, each
+// against the pre-refactor serialize-everything bus kept below as the
+// baseline), World::step() time, and full simulation wall-clock. Together
+// with bench_codec this quantifies the campaign-scale optimizations:
+// thousands of Monte-Carlo Worlds per table share one road/database, step
+// allocation-free over a vectorizable geometry kernel, and exchange
+// messages without touching a serializer.
 //
 // Usage: bench_step [--sims N] [--format text|csv|json] [--out PATH]
 
@@ -272,7 +271,7 @@ int main(int argc, char** argv) {
     reset_s = seconds_since(t_reset);
   }
 
-  // --- Polyline::project kernel: hinted single, batched, full scan -------
+  // --- Polyline::project kernel: hinted single, full scan ----------------
   // Each fast row is timed against the legacy scalar implementation on the
   // identical query stream; the checksum comparison doubles as an in-bench
   // differential test (the kernels must agree exactly on this road).
@@ -280,8 +279,7 @@ int main(int argc, char** argv) {
   const LegacyProjector legacy(line);
   // Four lanes: the World's Ego + lead + trailing + neighbor. The stream
   // comes from the same generator as scaa_campaign bench's kernel row
-  // (cli::projection_workload), tick-major so the batched sweep consumes
-  // natural spans.
+  // (cli::projection_workload), tick-major.
   constexpr std::size_t kLanes = 4;
   const std::size_t proj_ticks = std::max<std::size_t>(sims, 10) * 5000;
   const std::vector<geom::Vec2> proj_points =
@@ -314,26 +312,10 @@ int main(int argc, char** argv) {
   }
   const double single_s = seconds_since(t_single);
 
-  std::vector<double> batch_hints(kLanes, -1.0);
-  std::vector<geom::Polyline::Projection> batch_out(kLanes);
-  double batch_sum = 0.0;
-  const auto t_batch = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < proj_ticks; ++t) {
-    line.project_many(
-        {proj_points.data() + t * kLanes, kLanes}, batch_hints,
-        batch_out);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      batch_hints[l] = batch_out[l].s;
-      batch_sum += batch_out[l].lateral;
-    }
-  }
-  const double batch_s = seconds_since(t_batch);
-
-  if (single_sum != legacy_sum || batch_sum != legacy_sum) {
-    std::cerr << "bench_step: projection kernels disagree with the legacy "
+  if (single_sum != legacy_sum) {
+    std::cerr << "bench_step: projection kernel disagrees with the legacy "
                  "baseline (single "
-              << single_sum << ", batched " << batch_sum << ", legacy "
-              << legacy_sum << ")\n";
+              << single_sum << ", legacy " << legacy_sum << ")\n";
     return 1;
   }
 
@@ -515,10 +497,6 @@ int main(int argc, char** argv) {
                   static_cast<long long>(proj_ops), std::string("ns"),
                   per(single_s, proj_ops, 1e9),
                   single_s > 0.0 ? legacy_s / single_s : 0.0});
-  report.add_row({std::string("project_many"),
-                  static_cast<long long>(proj_ops), std::string("ns"),
-                  per(batch_s, proj_ops, 1e9),
-                  batch_s > 0.0 ? legacy_s / batch_s : 0.0});
   report.add_row({std::string("project_full_reference"),
                   static_cast<long long>(proj_full_ops), std::string("us"),
                   per(proj_full_ref_s, proj_full_ops, 1e6), 1.0});

@@ -1401,7 +1401,7 @@ Report run_report(const CampaignOptions& options, std::ostream* progress) {
        "lane_invasions", "lane_invasion_rate", "tth", "sim_end_time"});
 
   if (!options.realtime) {
-    // Mirror the realtime executor's loop structure exactly (count every
+    // Mirror run_realtime's loop structure exactly (count every
     // step() invocation, including the final one that returns false) so
     // the two modes' summary rows carry the identical tick count.
     std::size_t ticks = 0;

@@ -1,27 +1,18 @@
 #include "exp/arena.hpp"
 
-#include <algorithm>
-
 namespace scaa::exp {
 
 void WorldArena::run_items(std::span<const CampaignItem> items,
                            const WorldAssets& assets,
                            std::span<sim::SimulationSummary> out) {
-  for (std::size_t begin = 0; begin < items.size(); begin += kBatchWorlds) {
-    const std::size_t end = std::min(items.size(), begin + kBatchWorlds);
-    batch_.clear();
-    for (std::size_t j = 0; begin + j < end; ++j) {
-      sim::WorldConfig cfg = world_config_for(items[begin + j], assets);
-      if (j < worlds_.size()) {
-        worlds_[j]->reset(cfg);
-      } else {
-        worlds_.push_back(std::make_unique<sim::World>(std::move(cfg)));
-      }
-      batch_.add(worlds_[j].get());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    sim::WorldConfig cfg = world_config_for(items[i], assets);
+    if (world_) {
+      world_->reset(cfg);
+    } else {
+      world_ = std::make_unique<sim::World>(std::move(cfg));
     }
-    batch_.run_all();
-    for (std::size_t j = 0; begin + j < end; ++j)
-      out[begin + j] = worlds_[j]->summarize();
+    out[i] = world_->run();
   }
 }
 

@@ -1,18 +1,16 @@
 #pragma once
 
 /// @file arena.hpp
-/// Per-worker simulation arenas: long-lived Worlds reused across a
+/// Per-worker simulation arenas: one long-lived World reused across a
 /// campaign's items.
 ///
-/// The original runners constructed one World per simulation — ~50 heap
-/// allocations each, a million-plus across a paper-scale campaign. An
-/// arena instead keeps up to kBatchWorlds resident Worlds, reset() between
-/// items (bit-identical to fresh construction, see World::reset) and
-/// stepped in lockstep through a WorldBatch so every tick issues one fused
-/// projection sweep for the whole group. After each worker's first batch
-/// warms its arena up, the steady state performs zero heap allocations per
-/// simulation — see tests/test_world_reset.cpp, which pins that down with
-/// the counting operator new.
+/// Constructing a World costs ~50 heap allocations, a million-plus across
+/// a paper-scale campaign. An arena instead keeps one resident World and
+/// reset()s it between items (bit-identical to fresh construction, see
+/// World::reset). After a worker's first item warms its arena up, the
+/// steady state performs zero heap allocations per simulation — see
+/// tests/test_world_reset.cpp, which pins that down with the counting
+/// operator new.
 
 #include <cstddef>
 #include <memory>
@@ -20,42 +18,35 @@
 #include <vector>
 
 #include "exp/campaign.hpp"
-#include "sim/world_batch.hpp"
+#include "sim/world.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace scaa::exp {
 
-/// Worlds stepped in lockstep per arena batch: enough to amortize the
-/// project_many sweep without inflating per-worker memory. Also the
-/// campaign engine's task size: each of its pool tasks is one batch.
-inline constexpr std::size_t kBatchWorlds = 8;
-
-/// A reusable set of resident Worlds. Not thread-safe; each pool worker
-/// drives its own arena (via ArenaPool).
+/// One resident World. Not thread-safe; each pool worker drives its own
+/// arena (via ArenaPool).
 class WorldArena {
  public:
   /// Simulate every item of @p items and write its summary to the matching
-  /// slot of @p out (out.size() >= items.size()), in item order. Items run
-  /// in groups of up to kBatchWorlds; each group resets the resident
-  /// Worlds (constructing them only on first use) and runs them to
-  /// completion in lockstep. Results are bit-identical to constructing and
-  /// running each World alone.
+  /// slot of @p out (out.size() >= items.size()), in item order: reset the
+  /// resident World (constructing it only on first use) and run it to
+  /// completion, item by item. Results are bit-identical to constructing
+  /// and running each World alone.
   void run_items(std::span<const CampaignItem> items,
                  const WorldAssets& assets,
                  std::span<sim::SimulationSummary> out);
 
-  /// Resident worlds (grows up to kBatchWorlds, then stable).
-  std::size_t world_count() const noexcept { return worlds_.size(); }
+  /// Resident worlds: 0 before the first item, 1 after.
+  std::size_t world_count() const noexcept { return world_ ? 1 : 0; }
 
  private:
-  std::vector<std::unique_ptr<sim::World>> worlds_;
-  sim::WorldBatch batch_;
+  std::unique_ptr<sim::World> world_;
 };
 
 /// A free list of arenas shared by the thread-pool workers. The pool has
 /// no worker-identity API, so every task checks an arena out for as long
-/// as it simulates (one kBatchWorlds batch per campaign-engine task): with
+/// as it simulates (the kTaskItems items of one campaign-engine task): with
 /// at most `threads` tasks in flight, at most `threads` arenas ever exist,
 /// and each is reused across the whole campaign — across every grid of a
 /// multi-grid run too.

@@ -335,7 +335,7 @@ std::vector<Aggregate> run_campaigns_streaming(
         restored += n;
       } else {
         work.push_back({j, c});
-        tasks_per_chunk.push_back((n + kBatchWorlds - 1) / kBatchWorlds);
+        tasks_per_chunk.push_back((n + kTaskItems - 1) / kTaskItems);
       }
     }
     if (job.progress && restored > 0)
@@ -353,7 +353,7 @@ std::vector<Aggregate> run_campaigns_streaming(
     if (errors.failed.load(std::memory_order_acquire)) return;
     const ChunkWork& cw = work[w];
     const CampaignJob& job = jobs[cw.job];
-    std::array<sim::SimulationSummary, kBatchWorlds> summaries;
+    std::array<sim::SimulationSummary, kTaskItems> summaries;
     {
       ArenaPool::Lease lease(arenas);
       lease->run_items(job.items.subspan(begin, end - begin), assets,
@@ -395,8 +395,8 @@ std::vector<Aggregate> run_campaigns_streaming(
       const std::size_t chunk_end =
           chunk_begin + chunk_size(jobs[cw.job].items.size(), cw.chunk);
       for (std::size_t begin = chunk_begin; begin < chunk_end;
-           begin += kBatchWorlds) {
-        const std::size_t end = std::min(chunk_end, begin + kBatchWorlds);
+           begin += kTaskItems) {
+        const std::size_t end = std::min(chunk_end, begin + kTaskItems);
         pool.submit([&run_task, w, begin, end] { run_task(w, begin, end); });
       }
     }

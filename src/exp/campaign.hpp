@@ -91,10 +91,16 @@ sim::WorldConfig world_config_for(const CampaignItem& item,
 /// commit granularity of the checkpoint layer, and the unit sharding splits
 /// grids on. Fixed, so the engine's aggregates are bit-identical to
 /// aggregate() over the same outcomes at any thread count, and a resumed
-/// campaign restores whole chunks. Pool tasks are smaller (kBatchWorlds
+/// campaign restores whole chunks. Pool tasks are smaller (kTaskItems
 /// items, see run_campaigns_streaming); a chunk is folded once all of its
 /// tasks are done.
 inline constexpr std::size_t kCampaignChunk = 64;
+
+/// Items per campaign-engine pool task, run one after another on the
+/// worker's resident World (exp::WorldArena): small enough that a 144-sim
+/// grid spreads over every worker, large enough to amortize the task and
+/// arena lease.
+inline constexpr std::size_t kTaskItems = 8;
 
 class CampaignCheckpoint;  // exp/checkpoint.hpp
 
@@ -210,7 +216,7 @@ struct CampaignJob {
 /// campaign engine: the two one-grid wrappers below and every paper
 /// artifact run through it.
 ///
-/// Scheduling: tasks of kBatchWorlds items are queued in job order, then
+/// Scheduling: tasks of kTaskItems items are queued in job order, then
 /// chunk order, so no grid ends in a barrier that idles workers and small
 /// grids spread over every thread. Each kCampaignChunk chunk counts its
 /// tasks down; the worker that finishes a chunk's last task folds the

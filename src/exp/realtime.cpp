@@ -1,5 +1,6 @@
 #include "exp/realtime.hpp"
 
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -25,16 +26,11 @@ void PhaseStats::add(double seconds) {
   hist_us.add(seconds * 1e6);
 }
 
-RealtimeReport RealtimeExecutor::run(sim::World& world,
-                                     const RealtimeConfig& config) {
+RealtimeReport run_realtime(sim::World& world, const RealtimeConfig& config) {
   if (!std::isfinite(config.period_s) || config.period_s <= 0.0)
     throw std::invalid_argument(
-        "RealtimeExecutor: period must be finite and positive");
-  if (world.ran_)
-    throw std::logic_error(
-        "RealtimeExecutor::run: this world already ran; call reset() to "
-        "re-arm it before running again");
-  world.ran_ = true;
+        "run_realtime: period must be finite and positive");
+  world.start_run();
 
   RealtimeReport report;
   report.period_s = config.period_s;
@@ -53,32 +49,23 @@ RealtimeReport RealtimeExecutor::run(sim::World& world,
   clock.start();
   bool running = !world.finished();
   while (running) {
-    // The exact World::step() phase sequence, with a timestamp at each
-    // boundary. No clock value flows into any phase — the simulation's
-    // inputs are identical to a free-running run.
-    sim::World::PendingProjections pend;
-    const double t0 = util::monotonic_now_s();
-    world.begin_tick(pend);
-    const double t1 = util::monotonic_now_s();
-    world.project_pending(pend);
-    const double t2 = util::monotonic_now_s();
-    world.mid_tick(pend);
-    const double t3 = util::monotonic_now_s();
-    world.project_pending(pend);
-    const double t4 = util::monotonic_now_s();
-    running = world.end_tick();
-    const double t5 = util::monotonic_now_s();
-    double tick_end = t5;
+    // t[0] is the tick's start, t[1 + p] the end of sim::TickPhase p.
+    std::array<double, 6> t{};
+    t[0] = util::monotonic_now_s();
+    running = world.step([&t](sim::TickPhase phase) {
+      t[1 + static_cast<std::size_t>(phase)] = util::monotonic_now_s();
+    });
+    double tick_end = t[5];
     if (config.slow_tick_hook) {
       config.slow_tick_hook();
       tick_end = util::monotonic_now_s();
     }
 
-    report.phases[kTick].add(tick_end - t0);
-    report.phases[kTraffic].add(t1 - t0);
-    report.phases[kProject].add((t2 - t1) + (t4 - t3));
-    report.phases[kEgo].add(t3 - t2);
-    report.phases[kMonitor].add(t5 - t4);
+    report.phases[kTick].add(tick_end - t[0]);
+    report.phases[kTraffic].add(t[1] - t[0]);
+    report.phases[kProject].add((t[2] - t[1]) + (t[4] - t[3]));
+    report.phases[kEgo].add(t[3] - t[2]);
+    report.phases[kMonitor].add(t[5] - t[4]);
 
     const util::DeadlineClock::Tick tick = clock.wait_next();
     report.wake_error_s.add(tick.wake_error_s);

@@ -10,13 +10,12 @@
 /// World at its configured rate against util::DeadlineClock and recording
 /// per-subsystem latency, wake jitter, and overrun histograms.
 ///
-/// Determinism: the executor drives the exact phase sequence World::step()
-/// runs (begin_tick -> projection sweep -> mid_tick -> projection sweep ->
-/// end_tick) and feeds no clock value into any of them. The wall clock
-/// only decides *when* the next tick fires, never what it computes, so a
-/// realtime run's SimulationSummary is bit-identical to a free-running
-/// run() on the same config and seed (enforced by the Realtime test
-/// suite).
+/// Determinism: each tick is World::step() with a hook that timestamps the
+/// phase boundaries (sim::TickPhase); no clock value flows into any phase.
+/// The wall clock only decides *when* the next tick fires, never what it
+/// computes, so a realtime run's SimulationSummary is bit-identical to a
+/// free-running run() on the same config and seed (enforced by the Realtime
+/// test suite).
 
 #include <cstddef>
 #include <cstdint>
@@ -66,12 +65,11 @@ struct RealtimeReport {
   double period_s = 0.01;
 
   /// phases[0] is the whole tick; the rest decompose it along the
-  /// World::step phase boundaries: "traffic" (begin_tick: road lookups and
-  /// the lead/trailing/neighbor vehicles' control and integration),
-  /// "project_sweep" (both batched Polyline::project_many resolutions),
-  /// "ego" (mid_tick: sensor models and bus publishes, attack engine,
-  /// controls and CAN, driver model, Ego dynamics), "monitor" (end_tick:
-  /// hazard/safety monitoring).
+  /// sim::TickPhase boundaries: "traffic" (road lookups and the
+  /// lead/trailing/neighbor vehicles' control and integration),
+  /// "project_sweep" (both Frenet projection phases), "ego" (sensor models
+  /// and bus publishes, attack engine, controls and CAN, driver model, Ego
+  /// dynamics), "monitor" (hazard/safety monitoring).
   std::vector<PhaseStats> phases;
 
   /// Fraction of ticks that overran; 0 when no tick ran.
@@ -85,16 +83,7 @@ struct RealtimeReport {
 /// Runs @p world to completion under the deadline clock. Like World::run(),
 /// consumes the world (throws std::logic_error if it already ran; reset()
 /// re-arms it). Throws std::invalid_argument on a non-positive period.
-class RealtimeExecutor {
- public:
-  static RealtimeReport run(sim::World& world, const RealtimeConfig& config);
-};
-
-/// Convenience free-function spelling of RealtimeExecutor::run.
-inline RealtimeReport run_realtime(sim::World& world,
-                                   const RealtimeConfig& config) {
-  return RealtimeExecutor::run(world, config);
-}
+RealtimeReport run_realtime(sim::World& world, const RealtimeConfig& config);
 
 /// Append one tap frame to @p out: little-endian
 /// [u16 topic][u64 sequence][u32 payload length][payload bytes].

@@ -101,8 +101,9 @@ class FaultPlan {
   /// Parse a plan file. One spec per line:
   ///   <kind> [window=<t0>:<t1>] [rate=<p>] [ticks=<n>] [mag=<x>]
   ///          [bias=<x>] [target=<all|gps|camera|radar>]
-  /// Blank lines and `#` comments are ignored. Throws FaultPlanError with
-  /// "<path>:<line>: <reason>" on any malformed input.
+  /// Numbers must be finite. Blank lines and `#` comments are ignored.
+  /// Throws FaultPlanError with "<path>:<line>: <reason>" on any malformed
+  /// input.
   static FaultPlan parse_file(const std::string& path);
 
   /// parse_file's core, on in-memory text (@p path only labels errors).

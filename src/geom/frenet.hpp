@@ -30,9 +30,8 @@ class FrenetFrame {
   FrenetPoint to_frenet(Vec2 world) noexcept;
 
   /// Record an externally computed projection of this frame's tracked point
-  /// — e.g. one lane of a batched Polyline::project_many sweep — as if
-  /// to_frenet had produced it: updates the hint and returns the Frenet
-  /// point. accept(reference().project(p, hint())) == to_frenet(p).
+  /// as if to_frenet had produced it: updates the hint and returns the
+  /// Frenet point. accept(reference().project(p, hint())) == to_frenet(p).
   FrenetPoint accept(const Polyline::Projection& proj) noexcept {
     hint_s_ = proj.s;
     hint_segment_ = proj.segment;

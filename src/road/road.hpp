@@ -16,7 +16,6 @@
 ///   right guardrail: d = -w - margin ; left guardrail: d = +w + margin.
 
 #include <cstddef>
-#include <span>
 
 #include "geom/frenet.hpp"
 #include "geom/polyline.hpp"
@@ -88,16 +87,6 @@ class Road {
 
   /// World position of a (s, d) point.
   geom::Vec2 world_at(double s, double d) const;
-
-  /// Project a batch of world points onto the reference line in one
-  /// structure-of-arrays sweep (one call per simulation tick for all
-  /// vehicles). Element k equals reference().project(points[k], hints[k]);
-  /// see geom::Polyline::project_many for the hint contract.
-  void project_many(std::span<const geom::Vec2> points,
-                    std::span<const double> hints,
-                    std::span<geom::Polyline::Projection> out) const noexcept {
-    reference_.project_many(points, hints, out);
-  }
 
   /// Heading of the road at arc length s.
   double heading_at(double s) const noexcept {

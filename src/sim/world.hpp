@@ -29,10 +29,6 @@
 #include "sim/trace.hpp"
 #include "vehicle/vehicle.hpp"
 
-namespace scaa::exp {
-class RealtimeExecutor;  // drives the tick phases under a deadline clock
-}
-
 namespace scaa::sim {
 
 /// Physical disturbances acting on the Ego (road crown, crosswind,
@@ -73,6 +69,17 @@ struct WorldConfig {
   sensors::RadarConfig radar;
   driver::DriverConfig driver;
   SafetyMonitorConfig monitor;
+};
+
+/// The phases of one simulation tick, in the order World::step runs them.
+/// Each projection phase refreshes the Frenet state of the vehicles the
+/// phase before it integrated.
+enum class TickPhase {
+  kTraffic,       ///< road lookups; lead/trailing/neighbor control + dynamics
+  kTrafficSweep,  ///< Frenet projection of the traffic vehicles
+  kEgo,           ///< sensors, attack engine, controls + CAN, driver, Ego
+  kEgoSweep,      ///< Frenet projection of the Ego
+  kMonitor,       ///< hazard/safety monitoring, clock advance
 };
 
 /// Outcome summary of one simulation (the unit the campaign aggregates).
@@ -149,30 +156,38 @@ class World {
   /// (Exposed for incremental inspection in tests/examples.)
   bool step();
 
+  /// step() with @p hook(TickPhase) called as each phase of the tick ends.
+  /// The one definition of the tick's phase sequence: step() passes a
+  /// no-op hook, exp::run_realtime a timestamping one. The hook sees the
+  /// phase boundaries only, so a run is bit-identical with any hook that
+  /// leaves the world alone.
+  template <class Hook>
+  bool step(Hook&& hook) {
+    if (finished_) return false;
+    begin_tick();
+    hook(TickPhase::kTraffic);
+    // Traffic commands read only pre-step Frenet state, so every traffic
+    // vehicle integrates before any of them is re-projected.
+    lead_->refresh_frenet();
+    if (has_trailing_) trailing_->refresh_frenet();
+    if (has_neighbor_) neighbor_->refresh_frenet();
+    hook(TickPhase::kTrafficSweep);
+    mid_tick();
+    hook(TickPhase::kEgo);
+    ego_->refresh_frenet();
+    hook(TickPhase::kEgoSweep);
+    const bool more = end_tick();
+    hook(TickPhase::kMonitor);
+    return more;
+  }
+
+  /// Claim this world's one run: throws std::logic_error if it already ran
+  /// (reset() re-arms it). run() and exp::run_realtime call it first.
+  void start_run();
+
   /// True once the simulation reached its end (terminal accident or
   /// configured duration).
   bool finished() const noexcept { return finished_; }
-
-  /// One tick's batched projection workload: the vehicles whose
-  /// integrate() half-step is waiting for a Frenet refresh, with their
-  /// gathered query points and hints. World::step() resolves it against
-  /// its own road; WorldBatch gathers the pending spans of K worlds into
-  /// one shared Polyline::project_many sweep per phase instead.
-  struct PendingProjections {
-    static constexpr std::size_t kMaxVehicles = 4;
-    std::array<vehicle::Vehicle*, kMaxVehicles> vehicles{};
-    std::array<geom::Vec2, kMaxVehicles> points{};
-    std::array<double, kMaxVehicles> hints{};
-    std::array<geom::Polyline::Projection, kMaxVehicles> projections{};
-    std::size_t count = 0;
-
-    void add(vehicle::Vehicle* v) noexcept {
-      vehicles[count] = v;
-      points[count] = v->state().pose.position;
-      hints[count] = v->frenet_hint();
-      ++count;
-    }
-  };
 
   /// --- state access (valid between construction and end of run) ---
   double time() const noexcept { return time_; }
@@ -202,32 +217,17 @@ class World {
   const can::Database& dbc() const noexcept { return *db_; }
 
  private:
-  friend class WorldBatch;
-  // The realtime executor runs the exact step() phase sequence with a
-  // timestamp at each boundary (exp/realtime.hpp); it feeds no clock value
-  // into any phase, so its runs stay bit-identical to free-running ones.
-  friend class exp::RealtimeExecutor;
-
   /// @p lead_gap is this tick's Ego-to-lead bumper gap (unused without a
   /// lead); mid_tick computes it once for the radar and the driver.
   void publish_sensors(double road_curvature, double road_heading,
                        double lead_gap);
   void record(Trace* trace, const vehicle::ActuatorCommand& cmd);
 
-  /// step() decomposed into phases so WorldBatch can interleave K worlds
-  /// and fuse their projection sweeps. Contract: begin_tick -> resolve
-  /// pend -> mid_tick -> resolve pend -> end_tick, with end_tick returning
-  /// step()'s "still running" result.
-  void begin_tick(PendingProjections& pend);
-  void mid_tick(PendingProjections& pend);
+  /// The non-projection phases of step(); end_tick returns step()'s
+  /// "still running" result.
+  void begin_tick();
+  void mid_tick();
   bool end_tick();
-
-  /// Resolve @p pend against this world's own road (the single-world
-  /// path); WorldBatch substitutes a cross-world fused sweep.
-  void project_pending(PendingProjections& pend);
-
-  /// Write resolved projections back to their vehicles and empty @p pend.
-  static void apply_pending(PendingProjections& pend) noexcept;
 
   /// Shared tail of construction and reset(): re-derive every piece of
   /// simulation state from config_ alone, allocation-free. Fresh and reset

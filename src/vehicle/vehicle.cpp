@@ -70,13 +70,6 @@ void Vehicle::refresh_frenet() {
   state_.d = f.d;
 }
 
-void Vehicle::apply_projection(
-    const geom::Polyline::Projection& proj) noexcept {
-  const auto f = frenet_.accept(proj);
-  state_.s = f.s;
-  state_.d = f.d;
-}
-
 double bumper_gap(const VehicleState& follower, const VehicleParams& fp,
                   const VehicleState& lead, const VehicleParams& lp) noexcept {
   return (lead.s - 0.5 * lp.length) - (follower.s + 0.5 * fp.length);

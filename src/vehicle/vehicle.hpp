@@ -49,23 +49,19 @@ class Vehicle {
   void step(const ActuatorCommand& cmd, double dt);
 
   /// Advance dynamics and world pose only, WITHOUT refreshing the Frenet
-  /// state. The caller must complete the step with apply_projection() —
-  /// this split lets the World project every vehicle of a tick in one
-  /// batched road::Road::project_many sweep.
+  /// state. The caller must complete the step with refresh_frenet() — this
+  /// split lets the World integrate every traffic vehicle of a tick before
+  /// any of them is re-projected.
   void integrate(const ActuatorCommand& cmd, double dt);
 
-  /// Frenet-search hint for this vehicle: arc length of its last
-  /// projection (negative before the first one).
-  double frenet_hint() const noexcept { return frenet_.hint(); }
+  /// Complete an integrate() step: re-project state().pose.position onto
+  /// the road, hinted by this vehicle's last projection.
+  void refresh_frenet();
 
   /// Segment index of this vehicle's last projection
   /// (geom::Polyline::kNoSegmentHint before the first one). Seeds hinted
   /// road heading/curvature queries without a fresh segment search.
   std::size_t frenet_segment() const noexcept { return frenet_.hint_segment(); }
-
-  /// Complete an integrate() step with an externally computed projection of
-  /// state().pose.position; equivalent to the refresh step() performs.
-  void apply_projection(const geom::Polyline::Projection& proj) noexcept;
 
   /// Current ground-truth state.
   const VehicleState& state() const noexcept { return state_; }
@@ -80,8 +76,6 @@ class Vehicle {
   bool stopped() const noexcept { return state_.speed <= 1e-3; }
 
  private:
-  void refresh_frenet();
-
   const road::Road* road_;
   VehicleParams params_;
   LongitudinalDynamics longitudinal_;

@@ -75,6 +75,15 @@ TEST(FaultPlan, ErrorsCarryPathAndLine) {
   expect_parse_error("can_drop window=9:3\n", "window");
   expect_parse_error("can_drop rate=0.1 color=red\n", "color");
   expect_parse_error("\n\ncan_drop rate=\n", ":3:");
+  // strtod reads these; a non-finite bias or magnitude would poison the
+  // sensor stream, and a non-finite window bound is no window.
+  expect_parse_error("sensor_noise bias=nan rate=1\n", "bad value for 'bias'");
+  expect_parse_error("sensor_noise mag=inf rate=1\n", "bad value for 'mag'");
+  expect_parse_error("sensor_noise mag=nan\n", "bad value for 'mag'");
+  expect_parse_error("can_drop window=0:inf\n", "bad value for 'window'");
+  expect_parse_error("can_drop window=-inf:3\n", "bad value for 'window'");
+  expect_parse_error("can_drop window=nan:nan\n", "bad value for 'window'");
+  expect_parse_error("can_drop rate=nan\n", "bad value for 'rate'");
 }
 
 TEST(FaultPlan, FingerprintSeparatesPlans) {
@@ -200,7 +209,7 @@ TEST(FaultDeterminism, ArenaMatchesStandaloneWorlds) {
   cc.threads = 2;
   const auto results = exp::run_campaign(grid, cc);
   ASSERT_EQ(results.size(), grid.size());
-  // Spot-check a stride of items: the arena/WorldBatch path must agree
+  // Spot-check a stride of items: the resident arena World must agree
   // bit-for-bit with a freshly constructed World per item.
   for (std::size_t i = 0; i < grid.size(); i += 17) {
     sim::World world(exp::world_config_for(grid[i]));

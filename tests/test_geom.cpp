@@ -156,19 +156,6 @@ TEST(Polyline, HintedProjectionMatchesFull) {
   }
 }
 
-TEST(Polyline, ProjectManySpansMatchSingleCalls) {
-  const geom::Polyline line({{0, 0}, {40, 0}, {80, 10}, {120, 40}});
-  const std::vector<Vec2> points{{10.0, 3.0}, {60.0, -2.0}, {118.0, 45.0}};
-  const std::vector<double> hints{-1.0, 55.0, 0.0};
-  std::vector<geom::Polyline::Projection> batch(points.size());
-  line.project_many(points, hints, batch);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto single = line.project(points[i], hints[i]);
-    EXPECT_EQ(batch[i].s, single.s);
-    EXPECT_EQ(batch[i].lateral, single.lateral);
-  }
-}
-
 TEST(Frenet, RoundTrip) {
   const geom::Polyline line({{0, 0}, {50, 0}, {100, 30}});
   geom::FrenetFrame frame(line);

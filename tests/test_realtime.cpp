@@ -351,9 +351,9 @@ TEST(Realtime, CliSummaryRowByteIdenticalAcrossModes) {
 }
 
 TEST(Realtime, CliPhaseRowsNamedAfterTheirContents) {
-  // The spans follow the tick's phase sequence and are named after what
-  // runs inside them: traffic (begin_tick), both projection sweeps, the
-  // Ego's sensors/attack/controls/driver/dynamics (mid_tick), the monitor.
+  // The spans follow the tick's phase sequence (sim::TickPhase) and are
+  // named after what runs inside them: traffic, both projection sweeps,
+  // the Ego's sensors/attack/controls/driver/dynamics, the monitor.
   std::ostringstream out, err;
   ASSERT_EQ(cli::run_campaign_command(
                 "run",

@@ -1,8 +1,8 @@
 /// Differential suite for the zero-alloc simulation lifecycle: a reset
 /// World must be bit-identical to a freshly constructed one over entire
-/// campaigns (summaries AND traces), batched lockstep stepping must match
-/// sequential stepping exactly, and the arena steady state must never
-/// touch the heap.
+/// campaigns (summaries AND traces), worlds stepped in interleaved order
+/// over shared assets must match sequential runs exactly, and the arena
+/// steady state must never touch the heap.
 ///
 /// This TU deliberately includes alloc_counter.hpp (replacing the global
 /// operator new for this binary) — keep it out of every other suite.
@@ -17,7 +17,6 @@
 #include "exp/campaign.hpp"
 #include "fault/plan.hpp"
 #include "sim/world.hpp"
-#include "sim/world_batch.hpp"
 #include "util/alloc_counter.hpp"
 
 namespace scaa {
@@ -252,47 +251,37 @@ TEST(WorldReset, HintedRoadQueriesMatchPlain) {
   }
 }
 
-TEST(WorldReset, BatchSteppingMatchesSequential) {
+TEST(WorldReset, InterleavedWorldsMatchSequential) {
+  // Several worlds over one shared WorldAssets, stepped round-robin one
+  // tick at a time: the shared road and DBC must hold no per-world state,
+  // so each world matches its own fresh run.
   const WorldAssets assets = WorldAssets::make_default();
   const std::vector<CampaignItem> items = mixed_items();
 
   std::vector<std::unique_ptr<World>> worlds;
-  sim::WorldBatch batch;
-  for (const CampaignItem& item : items) {
+  for (const CampaignItem& item : items)
     worlds.push_back(
         std::make_unique<World>(exp::world_config_for(item, assets)));
-    batch.add(worlds.back().get());
+  for (bool any_running = true; any_running;) {
+    any_running = false;
+    for (const std::unique_ptr<World>& world : worlds)
+      if (world->step()) any_running = true;
   }
-  batch.run_all();
-  EXPECT_TRUE(batch.all_finished());
 
   for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_TRUE(worlds[i]->finished());
     World fresh(exp::world_config_for(items[i], assets));
     expect_summary_eq(fresh.run(), worlds[i]->summarize(),
-                      "batched " + item_label(items[i]));
+                      "interleaved " + item_label(items[i]));
   }
-}
-
-TEST(WorldReset, BatchRejectsMismatchedRoads) {
-  const WorldAssets a = WorldAssets::make_default();
-  const WorldAssets b = WorldAssets::make_default();
-  const CampaignItem item = make_item(
-      attack::StrategyKind::kNone, attack::AttackType::kAcceleration, 1,
-      100.0, 5);
-  sim::WorldConfig cfg_b = exp::world_config_for(item, b);
-  cfg_b.db = a.db;  // only the road differs
-  World wa(exp::world_config_for(item, a));
-  World wb(cfg_b);
-  sim::WorldBatch batch;
-  batch.add(&wa);
-  EXPECT_THROW(batch.add(&wb), std::invalid_argument);
 }
 
 TEST(WorldReset, ArenaMatchesFreshLoop) {
   const WorldAssets assets = WorldAssets::make_default();
   std::vector<CampaignItem> items = mixed_items();
-  // More items than resident worlds, so the arena wraps around and resets.
-  for (std::uint64_t seed = 1000; items.size() < 2 * exp::kBatchWorlds + 3;
+  // More items than one engine task holds: the one resident World is
+  // reset for every item after the first.
+  for (std::uint64_t seed = 1000; items.size() < 2 * exp::kTaskItems + 3;
        ++seed) {
     items.push_back(make_item(attack::StrategyKind::kRandomDur,
                               attack::AttackType::kSteeringLeft,
@@ -303,7 +292,7 @@ TEST(WorldReset, ArenaMatchesFreshLoop) {
   std::vector<SimulationSummary> out(items.size());
   arena.run_items({items.data(), items.size()}, assets,
                   {out.data(), out.size()});
-  EXPECT_LE(arena.world_count(), exp::kBatchWorlds);
+  EXPECT_EQ(arena.world_count(), 1u);
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     World fresh(exp::world_config_for(items[i], assets));

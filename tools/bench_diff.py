@@ -2,6 +2,7 @@
 """Diff of benchmark trajectory points.
 
 Usage: bench_diff.py [--strict] BASELINE FRESH [BASELINE FRESH ...]
+       bench_diff.py --self-test
 
 Each argument pair is a committed BENCH_*.json baseline and a freshly
 emitted copy (scaa_campaign bench --format json). For every row (keyed by
@@ -22,16 +23,26 @@ legacy rows carry the same workload against the in-bench legacy bus.
 Timing columns (wall_s, throughput, parallel efficiency) NEVER gate:
 shared CI runners make them too noisy. Without --strict the script always
 exits 0 and the output lands in the benchmark artifact for human review.
-With --strict it exits 1 when a deterministic column drifts or a baseline
-row goes missing — those are code regressions, not noise — while NEW ROW
-(a row the baseline predates) stays a warning so adding a benchmark does
-not require a lockstep baseline update. Rows in NONDETERMINISTIC_ROWS
+With --strict it exits 1 when a deterministic column drifts, or a baseline
+row or one of its deterministic columns goes missing — those are code
+regressions, not noise — while NEW ROW (a row the baseline predates) and a
+missing timing column stay warnings so adding a benchmark does not require
+a lockstep baseline update. Rows in NONDETERMINISTIC_ROWS
 (realtime_jitter: deadline-clock latency/jitter/overruns, all scheduler-
 dependent) are printed but never gate, even under --strict.
+
+A malformed argument list prints this text to stderr and exits 2.
+--self-test runs the script against fixtures it writes to a temporary
+directory and exits 0 only if every gating decision comes out as
+documented above.
 """
 
+import contextlib
+import io
 import json
+import os
 import sys
+import tempfile
 
 TIMING_COLUMNS = {"wall_s", "sims_per_s", "points_per_s", "efficiency"}
 
@@ -81,6 +92,12 @@ def diff_pair(baseline_path, fresh_path):
         deltas = []
         drift = []
         advisory = name in NONDETERMINISTIC_ROWS
+        for col in base:
+            if col != key and col not in row:
+                if col in TIMING_COLUMNS or advisory:
+                    print(f"  {name}: timing column {col} missing from fresh run")
+                else:
+                    drift.append(f"{col} {base[col]} -> (missing)")
         for col, value in row.items():
             if col == key or col not in base:
                 continue
@@ -109,14 +126,85 @@ def diff_pair(baseline_path, fresh_path):
     return failures
 
 
+def self_test():
+    """Check every gating decision against fixtures; return the exit code."""
+    columns = ["strategy", "simulations", "wall_s", "sims_with_hazards",
+               "sims_per_s"]
+
+    def row(name, hazards=3, wall=1.0):
+        return {"strategy": name, "simulations": 144, "wall_s": wall,
+                "sims_with_hazards": hazards, "sims_per_s": 144.0 / wall}
+
+    def bench(rows):
+        return {"report": "fixture", "columns": columns, "rows": rows}
+
+    def drop(rows, col):
+        return [{k: v for k, v in r.items() if k != col} for r in rows]
+
+    base_rows = [row("None", 1), row("Context-Aware", 9),
+                 row("realtime_jitter", 5)]
+    # (label, fresh rows or None for "use the args as given", args, exit)
+    cases = [
+        ("identical", base_rows, ["--strict"], 0),
+        ("timing only moves", [row("None", 1, 2.0), row("Context-Aware", 9, 0.5),
+                               row("realtime_jitter", 5)], ["--strict"], 0),
+        ("deterministic drift", [row("None", 2), *base_rows[1:]],
+         ["--strict"], 1),
+        ("drift without --strict", [row("None", 2), *base_rows[1:]], [], 0),
+        ("advisory row drift", [*base_rows[:2], row("realtime_jitter", 7)],
+         ["--strict"], 0),
+        ("baseline row missing", base_rows[1:], ["--strict"], 1),
+        ("new row", [*base_rows, row("Extra", 0)], ["--strict"], 0),
+        ("deterministic column missing from every row",
+         drop(base_rows, "sims_with_hazards"), ["--strict"], 1),
+        ("timing column missing from every row",
+         drop(base_rows, "sims_per_s"), ["--strict"], 0),
+        ("lone --strict operand", None, ["--strict", "A"], 2),
+        ("no operands", None, [], 2),
+        ("odd operand count", None, ["A", "B", "C"], 2),
+        ("unknown flag", None, ["--strikt", "A", "B"], 2),
+    ]
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="bench_diff_selftest") as tmp:
+        base_path = os.path.join(tmp, "base.json")
+        with open(base_path, "w", encoding="utf-8") as fh:
+            json.dump(bench(base_rows), fh)
+        for i, (label, fresh_rows, flags, want) in enumerate(cases):
+            args = list(flags)
+            if fresh_rows is not None:
+                fresh_path = os.path.join(tmp, f"fresh{i}.json")
+                with open(fresh_path, "w", encoding="utf-8") as fh:
+                    json.dump(bench(fresh_rows), fh)
+                args += [base_path, fresh_path]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                got = main(args)
+            if got != want:
+                failures += 1
+                print(f"bench_diff --self-test: {label}: exit {got}, "
+                      f"expected {want}\n{out.getvalue()}")
+    if failures:
+        print(f"bench_diff --self-test: {failures} of {len(cases)} case(s) "
+              "failed")
+        return 1
+    print(f"bench_diff --self-test: all {len(cases)} cases OK")
+    return 0
+
+
 def main(argv):
+    if argv == ["--self-test"]:
+        return self_test()
+    if argv in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
     strict = False
     if argv and argv[0] == "--strict":
         strict = True
         argv = argv[1:]
-    if len(argv) < 2 or len(argv) % 2 != 0:
-        print(__doc__)
-        return 0
+    if (len(argv) < 2 or len(argv) % 2 != 0
+            or any(arg.startswith("-") for arg in argv)):
+        print(__doc__, file=sys.stderr)
+        return 2
     failures = 0
     for i in range(0, len(argv), 2):
         failures += diff_pair(argv[i], argv[i + 1])
